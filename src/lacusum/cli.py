@@ -161,13 +161,15 @@ def _with_global(f):
 @cli.command()
 @_with_global
 @click.option("--epsilon", type=float, default=None, help="Contamination ratio.")
-@click.option("--alpha-grid", default="0:0.01:2", show_default=True)
-@click.option("--samples", type=int, default=1_000_000, show_default=True)
+@click.option("--alpha-grid", default=None, help="Alpha grid.  [default: 0:0.01:2]")
+@click.option("--samples", type=int, default=None,
+              help="Monte Carlo samples.  [default: 1000000]")
 @click.option("--method", type=click.Choice(["monte_carlo", "gauss_hermite_mixture"]),
-              default="monte_carlo", show_default=True)
-@click.option("--gamma", type=float, default=5000.0, show_default=True)
-@click.option("--k", "k_streams", type=int, default=100, show_default=True)
-@click.option("--m", "m_streams", type=int, default=10, show_default=True)
+              default=None, help="Expectation method.  [default: monte_carlo]")
+@click.option("--gamma", type=float, default=None, help="ARL target.  [default: 5000]")
+@click.option("--k", "k_streams", type=int, default=None, help="Streams.  [default: 100]")
+@click.option("--m", "m_streams", type=int, default=None,
+              help="Affected streams.  [default: 10]")
 def tune(config_path, seed, output, threads, reps, epsilon, alpha_grid, samples,
          method, gamma, k_streams, m_streams):
     """Tuning curve over the alpha grid plus a summary line.
@@ -176,12 +178,14 @@ def tune(config_path, seed, output, threads, reps, epsilon, alpha_grid, samples,
     """
     cfg = _load_config(config_path)
     model = _build_model(cfg, epsilon=epsilon)
-    grid = _parse_grid(_merged(cfg, "tune", "alpha_grid", alpha_grid, cast=str))
+    grid = _parse_grid(_merged(cfg, "tune", "alpha_grid", alpha_grid, "0:0.01:2", str))
     step = float(grid[1] - grid[0]) if len(grid) > 1 else 0.01
-    if method == "monte_carlo":
-        qc = tuning.QuadratureConfig.monte_carlo(n_samples=samples, seed=seed)
-    else:
-        qc = tuning.QuadratureConfig.quadrature()
+    qc = tuning.QuadratureConfig(
+        method=_merged(cfg, "tune", "method", method, "monte_carlo", str),
+        n_samples=_merged(cfg, "tune", "samples", samples, 1_000_000, int), seed=seed)
+    gamma = _merged(cfg, "tune", "gamma", gamma, 5000.0)
+    k_streams = _merged(cfg, "tune", "k", k_streams, 100, int)
+    m_streams = _merged(cfg, "tune", "m", m_streams, 10, int)
     rows = tuning.tuning_grid(model.epsilon, model, alpha_max=float(grid[-1]),
                               step=step, qc=qc)
     usable = [r for r in rows if r.objective is not None]

@@ -465,4 +465,4 @@ class StreamMonitor:
             stat = float(glr_recursive_stat(state.w[0], self.scheme.params.p0))
         else:
             stat = float(_fuse_stat(state.w[0], self.scheme.rule))
-        return StepDecision(global_stat=stat, alarmed=hit[0] >= 0)
+        return StepDecision(global_stat=stat, alarmed=bool(hit[0] >= 0))

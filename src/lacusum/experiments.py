@@ -15,7 +15,7 @@ import numpy as np
 from .breakdown import breakdown_grid
 from .calibration import RunEstimate, run_lengths
 from .detectors import LAlphaScheme, Scheme
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .models import ChangeScenario, GrossErrorModel, MixtureStreamSampler
 from .tuning import QuadratureConfig, info_number, tuning_grid
 
@@ -70,7 +70,7 @@ def _delay_bound_ratio(scheme: Scheme, model: GrossErrorModel, scenario: ChangeS
     try:
         info = info_number(scenario.theta_post, model.epsilon, scheme.params.alpha,
                            model, QuadratureConfig())
-    except Exception:
+    except NumericError:
         return None
     if info <= 0:
         return None
@@ -96,7 +96,7 @@ def run_delay_table(spec: ExperimentSpec) -> list[DelayRow]:
                                      spec.reps, seed, spec.cap, spec.threads)
                 ratio = _delay_bound_ratio(scheme, spec.model_post, scenario, est.mean)
                 rows.append(DelayRow(scheme.label, float(param), est, ratio))
-            except Exception as exc:  # record and keep going
+            except (ConfigError, NumericError) as exc:  # record and keep going
                 rows.append(DelayRow(scheme.label, float(param), None, None, str(exc)))
     return rows
 

@@ -159,59 +159,56 @@ def solve_mgf_root(values: np.ndarray, weights: np.ndarray | None = None,
                    tolerance: float = 1e-6, hint: float | None = None) -> float:
     """Unique positive root of E[exp(lambda * Y)] = 1 for a weighted sample of Y.
 
-    Requires E[Y] < 0 (otherwise no positive root exists); the MGF is convex
-    with value 1 at zero, so the root is bracketed by geometric expansion from
-    lambda = 1 (or a caller-supplied hint) and then bisected until
-    |E[exp(lambda Y)] - 1| < tolerance.
+    Requires E[Y] < 0 (otherwise no positive root exists).  The MGF phi is
+    convex with phi(0) = 1, so phi < 1 below the root and phi >= 1 above it;
+    a non-finite phi also marks lambda as above the root.  Each evaluation
+    fills one buffer with exp(lambda Y) and reads phi and phi' = E[Y exp(lambda Y)]
+    off it.  From the hint (or 1) the solver takes Newton steps on log phi,
+    which is also convex, so steps from above the root converge monotonically.
+    A step that leaves the bracket (lo, hi), or fails to halve the step before
+    last, is replaced by bisection, or by doubling lambda while hi is unknown.
+    Stops at a bracketed lambda with |phi - 1| < tolerance.
     """
     y = np.asarray(values, dtype=float)
-    if weights is None:
-        w = np.full(y.shape, 1.0 / y.size)
-    else:
-        w = np.asarray(weights, dtype=float)
-        w = w / w.sum()
-    mean = float(np.dot(w, y))
+    w = None if weights is None else np.asarray(weights, dtype=float) / np.sum(weights)
+    mean = float(np.mean(y) if w is None else np.dot(w, y))
     if mean >= 0.0:
-        raise NoPositiveRootError(
-            f"E[Y] = {mean:.6g} >= 0: no positive MGF root exists")
+        raise NoPositiveRootError(f"E[Y] = {mean:.6g} >= 0: no positive MGF root exists")
+    buf, wy, n = np.empty_like(y), (y if w is None else w * y), (y.size if w is None else 1.0)
 
-    def phi(lam: float) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.dot(w, np.exp(lam * y)))
+    def phi(lam: float) -> tuple[float, float]:
+        np.multiply(y, lam, out=buf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.exp(buf, out=buf)
+            total = buf.sum() if w is None else np.dot(w, buf)
+            return float(total) / n, float(np.dot(wy, buf)) / n
 
-    # walk down until the MGF dips below 1, then expand upward
-    lo = hint if hint and hint > 0 else 1.0
-    val = phi(lo)
-    if not math.isfinite(val):
-        raise MgfDivergenceError(f"MGF not finite at lambda = {lo:g}", last_finite_lambda=0.0)
-    while val >= 1.0:
-        lo /= 2.0
-        if lo < 1e-12:
-            raise NoPositiveRootError("MGF never dips below 1 near the origin")
-        val = phi(lo)
-    hi = max(2.0 * lo, 1.0)
-    val = phi(hi)
-    while math.isfinite(val) and val < 1.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e9:
-            raise NoPositiveRootError("no upper bracket found below lambda = 1e9")
-        val = phi(hi)
-    if not math.isfinite(val):
-        raise MgfDivergenceError(
-            f"MGF diverged at lambda = {hi:g} before a root was bracketed",
-            last_finite_lambda=lo)
+    lo, hi, hi_finite, step, older = 0.0, math.inf, False, math.inf, math.inf
+    lam = hint if hint and hint > 0 else 1.0
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        v = phi(mid)
-        if abs(v - 1.0) < tolerance:
-            return mid
-        if v < 1.0:
-            lo = mid
+        val, slope = phi(lam)
+        if val < 1.0:
+            lo = lam
         else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, hi):
+            hi, hi_finite = lam, math.isfinite(val)
+        if abs(val - 1.0) < tolerance and hi_finite:
+            return lam
+        if hi - lo < 1e-15 * max(1.0, hi) or hi < 1e-12:
             break
+        newton = lam - math.log(val) * val / slope if 0 < val < math.inf and slope > 0 else lo
+        if lo < newton < hi and abs(newton - lam) <= 0.5 * older:
+            step, older, lam = abs(newton - lam), step, newton
+        elif hi < math.inf:
+            step, older, lam = 0.5 * (hi - lo), step, 0.5 * (lo + hi)
+        elif 2.0 * lam > 1e9:
+            raise NoPositiveRootError("no upper bracket found below lambda = 1e9")
+        else:
+            step, older, lam = lam, step, 2.0 * lam
+    if not hi_finite:
+        raise MgfDivergenceError(f"MGF not finite at lambda = {hi:g} before a root was "
+                                 "bracketed", last_finite_lambda=lo)
+    if lo == 0.0:
+        raise NoPositiveRootError("MGF never dips below 1 near the origin")
     return 0.5 * (lo + hi)
 
 

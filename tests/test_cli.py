@@ -63,6 +63,38 @@ class TestTuneCommand:
         assert "numeric failure" in err
 
 
+class TestTuneConfig:
+    """Every [tune] key changes the output; a command-line flag still wins."""
+
+    BASE = {"alpha_grid": "0:0.1:0.2", "samples": "100000", "method": "monte_carlo",
+            "gamma": "5000", "k": "100", "m": "10"}
+
+    def run_tune(self, capsys, tmp_path, flags=(), **changes):
+        keys = {**self.BASE, **changes}
+        cfg = tmp_path / "tune.ini"
+        cfg.write_text("[model]\nepsilon = 0.1\n\n[tune]\n" +
+                       "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        code, out, err = run_cli(["tune", "--config", str(cfg), *flags], capsys=capsys)
+        assert code == 0, err
+        return out, err
+
+    @pytest.mark.parametrize("key,value", [
+        ("alpha_grid", "0:0.1:0.3"), ("samples", "200000"),
+        ("method", "gauss_hermite_mixture"), ("gamma", "50"), ("k", "20"), ("m", "2")])
+    def test_key_changes_output(self, capsys, tmp_path, key, value):
+        assert self.run_tune(capsys, tmp_path, **{key: value}) != \
+            self.run_tune(capsys, tmp_path)
+
+    def test_summary_reads_config(self, capsys, tmp_path):
+        out, err = self.run_tune(capsys, tmp_path, gamma="50", k="20", m="2")
+        assert len(out.strip().splitlines()) == 4  # header + 3 grid points
+        assert "(K=20, m=2, gamma=50)" in err
+
+    def test_flag_beats_config(self, capsys, tmp_path):
+        flagged = self.run_tune(capsys, tmp_path, ["--gamma", "50", "--k", "20"])
+        assert flagged == self.run_tune(capsys, tmp_path, gamma="50", k="20")
+
+
 class TestConfigHandling:
     def test_unknown_key_named(self, capsys, tmp_path):
         cfg = tmp_path / "c.ini"

@@ -389,6 +389,18 @@ class TestStreamMonitor:
                 break
         assert hit == expected
 
+    @pytest.mark.parametrize("kind", ["soft", "chan1", "xie_siegmund"])
+    def test_alarmed_is_python_bool(self, fam, rng, kind):
+        if kind == "soft":
+            scheme = LAlphaScheme(LocalParams(0.21, fam), FusionRule.soft(1.5, 0.2))
+        else:
+            scheme = GlrScheme(GlrParams(p0=0.1, window=10, variant=kind), b=3.0, fam=fam)
+        mon = StreamMonitor(scheme, K=3)
+        rows = np.vstack([rng.normal(0.0, 1.0, (5, 3)), rng.normal(2.0, 1.0, (40, 3))])
+        flags = [mon.step(row).alarmed for row in rows]
+        assert all(type(flag) is bool for flag in flags)
+        assert not flags[0] and any(flags)
+
     def test_glr_monitor(self, fam, rng):
         scheme = GlrScheme(GlrParams(p0=0.1, window=10), b=3.0, fam=fam)
         mon = StreamMonitor(scheme, K=2)

@@ -73,6 +73,20 @@ class TestDelayTable:
         assert rows[0].error is not None and rows[0].delay is None
         assert rows[1].error is None and rows[1].delay is not None
 
+    def test_unexpected_errors_propagate(self, fam, model01, monkeypatch):
+        import lacusum.experiments as experiments
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("bug in the delay simulation")
+
+        monkeypatch.setattr(experiments, "simulate_delay", broken)
+        spec = ExperimentSpec(schemes=(soft(fam, **SOFT21),), model_pre=model01,
+                              model_post=model01,
+                              scenarios=(ChangeScenario.immediate(100, 10, 1.0),),
+                              gamma=5000.0, reps=20, seed=1)
+        with pytest.raises(ZeroDivisionError):
+            run_delay_table(spec)
+
     def test_delay_nonincreasing_in_m(self, fam, model01):
         scheme = soft(fam, **SOFT21)
         scenarios = tuple(ChangeScenario.immediate(100, m, 1.0) for m in (1, 10, 100))

@@ -13,6 +13,7 @@ import pytest
 
 from lacusum import (
     ConfigError,
+    MgfDivergenceError,
     NoPositiveRootError,
     QuadratureConfig,
     arl_lower_bound,
@@ -26,7 +27,8 @@ from lacusum import (
     tuning_grid,
     tuning_report,
 )
-from lacusum.tuning import alpha_oracle, delay_budget
+from lacusum import tuning
+from lacusum.tuning import _increment_values, alpha_oracle, delay_budget
 
 QUAD = QuadratureConfig.quadrature()
 
@@ -146,6 +148,106 @@ class TestMgfRootContract:
         # MGF strictly decreasing: never returns to 1
         with pytest.raises(NoPositiveRootError):
             solve_mgf_root(np.array([-2.0, -1.0]), np.array([0.5, 0.5]))
+
+    def test_overflow_at_start_walks_down(self):
+        # exp(800) overflows at the starting lambda = 1; the root is near 5.36e-4
+        values, probs = np.array([-1.0, 800.0]), np.array([0.999, 0.001])
+        root = solve_mgf_root(values, probs)
+        assert abs(probs @ np.exp(root * values) - 1.0) < 1e-6
+        lams = np.linspace(1e-6, 1e-2, 100_001)
+        phi = np.exp(np.outer(lams, values)) @ probs
+        oracle = lams[np.nonzero(np.diff(np.sign(phi - 1.0)))[0][0]]
+        assert solve_mgf_root(values, probs, tolerance=1e-12) == pytest.approx(oracle, abs=2e-7)
+
+    def test_overflowing_hint_walks_down(self):
+        values, probs = np.array([-1.0, 2.0]), np.array([0.8, 0.2])
+        plain = solve_mgf_root(values, probs)
+        assert plain == pytest.approx(0.4457, abs=1e-4)
+        assert solve_mgf_root(values, probs, hint=400.0) == pytest.approx(plain, abs=1e-5)
+
+    def test_overflow_before_any_finite_bracket(self):
+        # exp(lambda * 1e300) overflows at every lambda the solver may try
+        with pytest.raises(MgfDivergenceError) as info:
+            solve_mgf_root(np.array([-1.0, 1e300]), np.array([1.0, 1e-305]))
+        assert info.value.last_finite_lambda == 0.0
+
+
+def bisection_mgf_root(values, weights, tolerance=1e-6):
+    """Reference oracle: bracket by halving and doubling from 1, then bisect."""
+    w = weights / weights.sum()
+
+    def phi(lam):
+        return float(np.dot(w, np.exp(lam * values)))
+
+    lo = 1.0
+    while phi(lo) >= 1.0:
+        lo /= 2.0
+    hi = max(2.0 * lo, 1.0)
+    while phi(hi) < 1.0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        v = phi(mid)
+        if abs(v - 1.0) < tolerance:
+            return mid
+        if v < 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-15 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
+class CountingNumpy:
+    """numpy stand-in for the tuning module that counts exp passes."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, *args, **kwargs):
+        self.exp_calls += 1
+        return np.exp(*args, **kwargs)
+
+
+class TestNewtonSolver:
+    @pytest.mark.parametrize("alpha", [0.0, 0.21, 0.51])
+    @pytest.mark.parametrize("qc", [QUAD, QuadratureConfig.monte_carlo(1_000_000, seed=0)],
+                             ids=["quadrature", "monte_carlo"])
+    def test_root_closes_the_equation(self, model01, alpha, qc):
+        y, w = _increment_values(model01, 0.0, alpha, qc)
+        lam = solve_mgf_root(y, w, tolerance=qc.tolerance)
+        phi = np.mean(np.exp(lam * y)) if w is None else np.dot(w / w.sum(), np.exp(lam * y))
+        assert lam > 0
+        assert abs(phi - 1.0) < qc.tolerance
+
+    def test_grid_agrees_with_bisection_oracle(self, model01):
+        rows = tuning_grid(0.1, model01, alpha_max=2.0, step=0.01, qc=QUAD)
+        assert len(rows) == 201
+        for r in rows:
+            # the oracle runs far below the solver's tolerance: bisection at
+            # the same tolerance may itself sit up to tolerance / phi' away
+            y, w = _increment_values(model01, 0.0, r.alpha, QUAD)
+            oracle = bisection_mgf_root(y, w, 1e-12)
+            slope = np.dot(w / w.sum(), y * np.exp(oracle * y))
+            assert abs(r.lambda_ - oracle) < QUAD.tolerance / slope, r.alpha
+
+    def test_grid_evaluation_budget(self, model01, monkeypatch):
+        counter, calls = CountingNumpy(), []
+        solver = tuning.solve_mgf_root
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(tuning, "np", counter)
+        monkeypatch.setattr(tuning, "solve_mgf_root", counted)
+        tuning_grid(0.1, model01, alpha_max=2.0, step=0.01, qc=QUAD)
+        assert len(calls) == 201
+        assert counter.exp_calls / len(calls) <= 5.0
 
 
 class TestEfficiency:
