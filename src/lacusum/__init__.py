@@ -24,7 +24,6 @@ from .calibration import (
     run_lengths,
 )
 from .detectors import (
-    DetectorBank,
     FusionRule,
     GlrParams,
     GlrScheme,
@@ -32,13 +31,9 @@ from .detectors import (
     LocalParams,
     StepDecision,
     StreamMonitor,
-    bank_update,
-    fuse,
-    glr_step,
     lalpha_increment,
     run_to_alarm,
     simulate_run_lengths,
-    u_plus,
 )
 from .errors import (
     CalibrationError,

@@ -142,11 +142,7 @@ def breakdown_point(fam: NominalFamily, alpha: float,
     divergence is always finite for a Gaussian location family, so the other
     infinite cases of the general theory cannot occur here.
     """
-    d = density_power_divergence(fam, alpha)
-    M = m_alpha(fam, alpha, search)
-    if math.isinf(M):
-        return 0.0
-    return d / (d + (1.0 + alpha) * M)
+    return breakdown_report(fam, alpha, search).eps_star
 
 
 def breakdown_report(fam: NominalFamily, alpha: float,
@@ -164,9 +160,8 @@ def worst_case_drift(fam: NominalFamily, alpha: float, epsilon: float,
 
     Negative below the breakdown point, positive above it.
     """
-    d = density_power_divergence(fam, alpha)
-    M = m_alpha(fam, alpha, search)
-    return -(1.0 - epsilon) / (1.0 + alpha) * d + epsilon * M
+    r = breakdown_report(fam, alpha, search)
+    return -(1.0 - epsilon) / (1.0 + alpha) * r.d_alpha + epsilon * r.m_alpha
 
 
 def breakdown_grid(fam: NominalFamily, alpha_max: float = 2.0, step: float = 0.01,

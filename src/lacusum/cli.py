@@ -10,6 +10,7 @@ import configparser
 import csv
 import math
 import sys
+from contextlib import contextmanager, nullcontext
 
 import click
 import numpy as np
@@ -25,15 +26,14 @@ from .models import ChangeScenario, GrossErrorModel, NominalFamily, OutlierSpec
 _KNOWN_KEYS = {
     "model": {"epsilon", "theta0", "theta1", "sigma",
               "outlier.kind", "outlier.mean", "outlier.sd", "outlier.location"},
-    "scenario": {"k", "m", "nu", "theta_post"},
+    "scenario": {"k", "theta_post"},
     "scheme": {"alpha", "d", "b", "fusion", "p0", "window", "variant", "kind", "name"},
     "tune": {"alpha_grid", "samples", "method", "gamma", "k", "m"},
     "breakdown": {"alpha_grid"},
     "calibrate": {"gamma", "reps", "rel_tol"},
     "simulate": {"mode", "m_grid", "theta_grid", "eps_grid", "reps", "gamma", "cap"},
     "casestudy": {"target_arl", "reps", "p", "length", "counts", "pre_outlier",
-                  "mix_pre", "mix_post", "fault1_magnitude", "fault2_magnitude",
-                  "noise_sd"},
+                  "fault1_magnitude", "fault2_magnitude", "noise_sd"},
     "monitor": {"stop_on_alarm"},
 }
 
@@ -125,8 +125,14 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.array([float(p) for p in spec.split(",")])
 
 
+@contextmanager
 def _open_output(path: str | None):
-    return open(path, "w", newline="") if path and path != "-" else sys.stdout
+    """CSV writer on the output file, or on stdout for no path or '-'."""
+    if path and path != "-":
+        with open(path, "w", newline="") as out:
+            yield csv.writer(out)
+    else:
+        yield csv.writer(sys.stdout)
 
 
 def _echo_err(msg: str):
@@ -196,15 +202,12 @@ def tune(config_path, seed, output, threads, reps, epsilon, alpha_grid, samples,
     lam = best.lambda_
     d = tuning.d_opt(lam, k_streams, m_streams, gamma)
     b = tuning.b_gamma(lam, k_streams, d, gamma)
-    out = _open_output(output)
-    writer = csv.writer(out)
-    writer.writerow(["alpha", "lambda", "info", "lambda_info", "efficiency"])
-    for r in rows:
-        writer.writerow([r.alpha, r.lambda_, r.info, r.objective, r.efficiency])
+    with _open_output(output) as writer:
+        writer.writerow(["alpha", "lambda", "info", "lambda_info", "efficiency"])
+        for r in rows:
+            writer.writerow([r.alpha, r.lambda_, r.info, r.objective, r.efficiency])
     _echo_err(f"alpha_oracle={best.alpha:.4g} lambda={lam:.6g} d_opt={d:.6g} "
               f"b_gamma={b:.6g} (K={k_streams}, m={m_streams}, gamma={gamma:g})")
-    if out is not sys.stdout:
-        out.close()
 
 
 @cli.command("breakdown")
@@ -221,15 +224,12 @@ def breakdown_cmd(config_path, seed, output, threads, reps, alpha_grid,
     grid = _parse_grid(_merged(cfg, "breakdown", "alpha_grid", alpha_grid, cast=str))
     step = float(grid[1] - grid[0]) if len(grid) > 1 else 0.01
     reports = bkd.breakdown_grid(model.nominal, alpha_max=float(grid[-1]), step=step)
-    out = _open_output(output)
-    writer = csv.writer(out)
-    writer.writerow(["alpha", "d_alpha", "m_alpha", "eps_star"])
-    for r in reports:
-        writer.writerow([r.alpha, r.d_alpha, r.m_alpha, r.eps_star])
+    with _open_output(output) as writer:
+        writer.writerow(["alpha", "d_alpha", "m_alpha", "eps_star"])
+        for r in reports:
+            writer.writerow([r.alpha, r.d_alpha, r.m_alpha, r.eps_star])
     best = max(reports, key=lambda r: (r.eps_star, -r.alpha))
     _echo_err(f"alpha_opt={best.alpha:.4g} eps_star={best.eps_star:.4g}")
-    if out is not sys.stdout:
-        out.close()
 
 
 @cli.command()
@@ -241,7 +241,8 @@ def breakdown_cmd(config_path, seed, output, threads, reps, alpha_grid,
               default=None)
 @click.option("--epsilon", type=float, default=None)
 @click.option("--k", "k_streams", type=int, default=None)
-@click.option("--rel-tol", type=float, default=0.05, show_default=True)
+@click.option("--rel-tol", type=float, default=None,
+              help="Relative ARL tolerance.  [default: 0.05]")
 def calibrate(config_path, seed, output, threads, reps, gamma, alpha, d, fusion,
               epsilon, k_streams, rel_tol):
     """Bisect the global threshold b to meet the ARL target gamma."""
@@ -249,27 +250,24 @@ def calibrate(config_path, seed, output, threads, reps, gamma, alpha, d, fusion,
     model = _build_model(cfg, epsilon=epsilon)
     gamma = _merged(cfg, "calibrate", "gamma", gamma)
     reps = int(_merged(cfg, "calibrate", "reps", reps, 1000))
+    rel_tol = _merged(cfg, "calibrate", "rel_tol", rel_tol, 0.05)
     K = int(_merged(cfg, "scenario", "k", k_streams, 100))
     scheme = _build_scheme(cfg.get("scheme", {}), model.nominal,
                            alpha=alpha, d=d, b=1.0, fusion=fusion)
     result = calibrate_threshold(scheme, model, gamma, rel_tol=rel_tol,
                                  reps_schedule=(max(50, reps // 5), reps),
                                  seed=seed, K=K, threads=threads)
-    out = _open_output(output)
-    writer = csv.writer(out)
-    writer.writerow(["b", "arl_mean", "arl_se", "reps", "censored", "iterations"])
-    writer.writerow([result.b, result.arl.mean, result.arl.std_error,
-                     result.arl.reps, result.arl.censored, result.iterations])
+    with _open_output(output) as writer:
+        writer.writerow(["b", "arl_mean", "arl_se", "reps", "censored", "iterations"])
+        writer.writerow([result.b, result.arl.mean, result.arl.std_error,
+                         result.arl.reps, result.arl.censored, result.iterations])
     _echo_err(f"calibrated b={result.b:.6g}  ARL={result.arl.mean:.1f} "
               f"(se {result.arl.std_error:.2f}, {result.iterations} evaluations)")
-    if out is not sys.stdout:
-        out.close()
 
 
 def _schemes_from_config(cfg, fam) -> list:
+    """One scheme per [scheme] or [scheme:NAME] section, in section-name order."""
     sections = [s for s in cfg if s == "scheme" or s.startswith("scheme:")]
-    if not sections:
-        raise ConfigError("simulate needs at least one [scheme] section")
     return [_build_scheme(cfg[s], fam) for s in sorted(sections)]
 
 
@@ -289,42 +287,41 @@ def simulate(config_path, seed, output, threads, reps, mode):
     cap = int(_merged(cfg, "simulate", "cap", None, 100_000))
     K = int(_merged(cfg, "scenario", "k", None, 100))
     schemes = _schemes_from_config(cfg, model.nominal)
-    out = _open_output(output)
-    writer = csv.writer(out)
-    if mode == "delay_table":
-        theta_post = _merged(cfg, "scenario", "theta_post", None, model.nominal.theta1)
-        m_grid = [int(v) for v in _parse_grid(
-            _merged(cfg, "simulate", "m_grid", None, "1,3,5,8,10,15,20,30,50,100", str))]
-        theta_grid = [float(v) for v in _parse_grid(
-            _merged(cfg, "simulate", "theta_grid", None, str(theta_post), str))]
-        scenarios = tuple(ChangeScenario.immediate(K, m, th)
-                          for th in theta_grid for m in m_grid if m <= K)
-        spec = experiments.ExperimentSpec(
-            schemes=tuple(schemes), model_pre=model.with_epsilon(0.0),
-            model_post=model, scenarios=scenarios,
-            gamma=float(_merged(cfg, "simulate", "gamma", None, 5000.0)),
-            reps=reps, seed=seed, cap=cap, threads=threads)
-        writer.writerow(["scheme", "parameter", "mean", "se", "reps", "censored",
-                         "delay_bound_ratio", "error"])
-        for row in experiments.run_delay_table(spec):
-            est = row.delay
-            writer.writerow([row.scheme, row.parameter,
-                             est.mean if est else "", est.std_error if est else "",
-                             est.reps if est else "", est.censored if est else "",
-                             row.delay_bound_ratio if row.delay_bound_ratio else "",
-                             row.error or ""])
-    else:
-        eps_grid = _parse_grid(_merged(cfg, "simulate", "eps_grid", None,
-                                       "0.02:0.02:0.2", str))
-        writer.writerow(["scheme", "parameter", "mean", "se", "reps", "censored",
-                         "log_arl", "se_log"])
-        for pt in experiments.arl_vs_epsilon_curve(schemes, model, eps_grid,
-                                                   reps, seed, K, cap, threads):
-            writer.writerow([pt.scheme, pt.epsilon, pt.estimate.mean,
-                             pt.estimate.std_error, pt.estimate.reps,
-                             pt.estimate.censored, pt.log_arl, pt.se_log])
-    if out is not sys.stdout:
-        out.close()
+    if not schemes:
+        raise ConfigError("simulate needs at least one [scheme] section")
+    with _open_output(output) as writer:
+        if mode == "delay_table":
+            theta_post = _merged(cfg, "scenario", "theta_post", None, model.nominal.theta1)
+            m_grid = [int(v) for v in _parse_grid(
+                _merged(cfg, "simulate", "m_grid", None, "1,3,5,8,10,15,20,30,50,100", str))]
+            theta_grid = [float(v) for v in _parse_grid(
+                _merged(cfg, "simulate", "theta_grid", None, str(theta_post), str))]
+            scenarios = tuple(ChangeScenario.immediate(K, m, th)
+                              for th in theta_grid for m in m_grid if m <= K)
+            spec = experiments.ExperimentSpec(
+                schemes=tuple(schemes), model_pre=model.with_epsilon(0.0),
+                model_post=model, scenarios=scenarios,
+                gamma=float(_merged(cfg, "simulate", "gamma", None, 5000.0)),
+                reps=reps, seed=seed, cap=cap, threads=threads)
+            writer.writerow(["scheme", "parameter", "mean", "se", "reps", "censored",
+                             "delay_bound_ratio", "error"])
+            for row in experiments.run_delay_table(spec):
+                est = row.delay
+                writer.writerow([row.scheme, row.parameter,
+                                 est.mean if est else "", est.std_error if est else "",
+                                 est.reps if est else "", est.censored if est else "",
+                                 row.delay_bound_ratio if row.delay_bound_ratio else "",
+                                 row.error or ""])
+        else:
+            eps_grid = _parse_grid(_merged(cfg, "simulate", "eps_grid", None,
+                                           "0.02:0.02:0.2", str))
+            writer.writerow(["scheme", "parameter", "mean", "se", "reps", "censored",
+                             "log_arl", "se_log"])
+            for pt in experiments.arl_vs_epsilon_curve(schemes, model, eps_grid,
+                                                       reps, seed, K, cap, threads):
+                writer.writerow([pt.scheme, pt.epsilon, pt.estimate.mean,
+                                 pt.estimate.std_error, pt.estimate.reps,
+                                 pt.estimate.censored, pt.log_arl, pt.se_log])
 
 
 @cli.command()
@@ -336,24 +333,25 @@ def simulate(config_path, seed, output, threads, reps, mode):
               default=None)
 @click.option("--input", "input_path", type=click.Path(), default=None,
               help="CSV stream; default: standard input.")
-@click.option("--stop-on-alarm/--no-stop-on-alarm", default=True, show_default=True)
+@click.option("--stop-on-alarm/--no-stop-on-alarm", default=None,
+              help="Stop after the first alarm.  [default: stop]")
 def monitor(config_path, seed, output, threads, reps, alpha, d, b, fusion,
             input_path, stop_on_alarm):
     """Stream monitoring: one 'n,global_stat,alarmed' line per input row.
 
     Input rows carry K numeric columns; a non-numeric first row is treated
-    as a header and skipped.
+    as a header and skipped.  A non-numeric later row, or a nan or inf value,
+    is a configuration error.
     """
     cfg = _load_config(config_path)
     model = _build_model(cfg)
     scheme = _build_scheme(cfg.get("scheme", {}), model.nominal,
                            alpha=alpha, d=d, b=b, fusion=fusion)
-    stream = open(input_path, newline="") if input_path else sys.stdin
-    out = _open_output(output)
-    writer = csv.writer(out)
-    writer.writerow(["n", "global_stat", "alarmed"])
-    mon = None
-    try:
+    stop_on_alarm = _merged(cfg, "monitor", "stop_on_alarm", stop_on_alarm, True, bool)
+    with (open(input_path, newline="") if input_path else nullcontext(sys.stdin)) as stream, \
+            _open_output(output) as writer:
+        writer.writerow(["n", "global_stat", "alarmed"])
+        mon = None
         for record in csv.reader(stream):
             if not record:
                 continue
@@ -370,11 +368,6 @@ def monitor(config_path, seed, output, threads, reps, alpha, d, b, fusion,
                              int(decision.alarmed)])
             if decision.alarmed and stop_on_alarm:
                 break
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
-        if out is not sys.stdout:
-            out.close()
 
 
 @cli.command()
@@ -416,28 +409,21 @@ def casestudy(config_path, seed, output, threads, reps, target_arl, p_coeffs,
     if save_pool_dir is not None:
         profiles.save_pool(pool, save_pool_dir)
     fam = NominalFamily(theta0=0.0, theta1=1.0, sigma=1.0)
-    scheme_sections = [s for s in cfg if s == "scheme" or s.startswith("scheme:")]
-    if scheme_sections:
-        schemes = [_build_scheme(cfg[s], fam) for s in sorted(scheme_sections)]
-    else:
-        schemes = [
-            LAlphaScheme(LocalParams(0.21, fam), FusionRule.soft(1.0, 1.5056), "robust21"),
-            LAlphaScheme(LocalParams(0.51, fam), FusionRule.soft(1.0, 0.7235), "robust51"),
-            LAlphaScheme(LocalParams(0.0, fam), FusionRule.soft(1.0, 3.9357), "cusum"),
-        ]
+    schemes = _schemes_from_config(cfg, fam) or [
+        LAlphaScheme(LocalParams(0.21, fam), FusionRule.soft(1.0, 1.5056), "robust21"),
+        LAlphaScheme(LocalParams(0.51, fam), FusionRule.soft(1.0, 0.7235), "robust51"),
+        LAlphaScheme(LocalParams(0.0, fam), FusionRule.soft(1.0, 3.9357), "cusum"),
+    ]
     rows = profiles.case_study_run(pool, schemes, target_arl, p=p, reps=reps,
                                    seed=seed, pre_outlier=pre_outlier,
                                    threads=threads)
-    out = _open_output(output)
-    writer = csv.writer(out)
-    writer.writerow(["scheme", "b", "arl_mean", "arl_se", "delay_mean", "delay_se",
-                     "reps", "censored"])
-    for row in rows:
-        writer.writerow([row.scheme, row.b, row.arl.mean, row.arl.std_error,
-                         row.delay.mean, row.delay.std_error, row.delay.reps,
-                         row.delay.censored])
-    if out is not sys.stdout:
-        out.close()
+    with _open_output(output) as writer:
+        writer.writerow(["scheme", "b", "arl_mean", "arl_se", "delay_mean", "delay_se",
+                         "reps", "censored"])
+        for row in rows:
+            writer.writerow([row.scheme, row.b, row.arl.mean, row.arl.std_error,
+                             row.delay.mean, row.delay.std_error, row.delay.reps,
+                             row.delay.censored])
 
 
 def main(argv=None) -> int:

@@ -11,6 +11,8 @@ statistics into one global statistic; the run stops when it reaches b.
 
 Three likelihood-ratio comparison schemes (two window-limited scan
 statistics and one recursive mixture statistic) are included for benchmarks.
+One kernel per scheme family computes the global-statistic path; the batch
+engine and the live monitor both run it, and thresholds are applied outside.
 """
 
 import math
@@ -71,32 +73,6 @@ def increment_lower_bound(p: LocalParams) -> float:
 
 
 @dataclass(frozen=True)
-class DetectorBank:
-    """State of K recursive local statistics at time n."""
-
-    params: LocalParams
-    w: np.ndarray
-    n: int = 0
-
-    @classmethod
-    def fresh(cls, params: LocalParams, K: int) -> "DetectorBank":
-        return cls(params=params, w=np.zeros(K), n=0)
-
-    @property
-    def K(self) -> int:
-        return len(self.w)
-
-
-def bank_update(bank: DetectorBank, obs) -> DetectorBank:
-    """Advance every stream one step: w[k] <- max(w[k] + increment(obs[k]), 0)."""
-    obs = np.asarray(obs, dtype=float)
-    if obs.shape != (bank.K,):
-        raise ConfigError(f"expected {bank.K} observations, got shape {obs.shape}")
-    w = np.maximum(bank.w + lalpha_increment(obs, bank.params), 0.0)
-    return DetectorBank(params=bank.params, w=w, n=bank.n + 1)
-
-
-@dataclass(frozen=True)
 class FusionRule:
     """Global statistic and threshold.
 
@@ -135,21 +111,6 @@ class StepDecision:
     alarmed: bool
 
 
-def _fuse_stat(w: np.ndarray, rule: FusionRule):
-    """Global statistic over the last axis of w."""
-    if rule.kind == "soft_threshold":
-        return np.maximum(w - rule.d, 0.0).sum(axis=-1)
-    if rule.kind == "max":
-        return w.max(axis=-1)
-    return w.sum(axis=-1)
-
-
-def fuse(bank: DetectorBank, rule: FusionRule) -> StepDecision:
-    """Apply the fusion rule to the current bank."""
-    stat = float(_fuse_stat(bank.w, rule))
-    return StepDecision(global_stat=stat, alarmed=stat >= rule.b)
-
-
 # ---------------------------------------------------------------------------
 # Likelihood-ratio comparison schemes
 # ---------------------------------------------------------------------------
@@ -173,18 +134,6 @@ class GlrParams:
             raise ConfigError(f"window must be >= 1, got {self.window}")
         if self.variant not in (GLR_XS, GLR_CHAN1, GLR_CHAN2):
             raise ConfigError(f"unknown GLR variant {self.variant!r}")
-
-
-def u_plus(prefix_sums: np.ndarray, k: int, n: int, i: int) -> float:
-    """Positive part of the normalized partial sum over observations i+1..n.
-
-    prefix_sums has shape (K, T+1) with prefix_sums[:, 0] = 0, so the value
-    is computed in O(1).
-    """
-    if not 0 <= i < n:
-        raise ConfigError(f"need 0 <= i < n, got i={i}, n={n}")
-    s = (prefix_sums[k, n] - prefix_sums[k, i]) / math.sqrt(n - i)
-    return max(0.0, float(s))
 
 
 def _mix_log_term(u, p0: float, coef: float):
@@ -217,28 +166,6 @@ def glr_recursive_stat(w_star: np.ndarray, p0: float):
     return _mix_log_term(0.5 * np.asarray(w_star, dtype=float), p0, CHAN1_COEF).sum(axis=-1)
 
 
-def glr_step(gp: GlrParams, b: float, history: np.ndarray | None = None,
-             w_star: np.ndarray | None = None) -> StepDecision:
-    """One-step decision for a GLR scheme.
-
-    xie_siegmund / chan2 need the trailing window of raw observations
-    (shape (K, min(n, window))); chan1 needs the current alpha = 0 bank values.
-    """
-    if gp.variant == GLR_CHAN1:
-        if w_star is None:
-            raise ConfigError("chan1 needs the alpha=0 bank values")
-        stat = float(glr_recursive_stat(w_star, gp.p0))
-    else:
-        if history is None:
-            raise ConfigError(f"{gp.variant} needs the observation window")
-        history = np.asarray(history, dtype=float)
-        if history.ndim != 2:
-            raise ConfigError("history must be (K, L)")
-        coef = 1.0 if gp.variant == GLR_XS else CHAN2_COEF
-        stat = float(glr_scan_stat(history, gp.p0, coef))
-    return StepDecision(global_stat=stat, alarmed=stat >= b)
-
-
 # ---------------------------------------------------------------------------
 # Schemes
 # ---------------------------------------------------------------------------
@@ -267,6 +194,10 @@ class LAlphaScheme:
     def with_threshold(self, b: float) -> "LAlphaScheme":
         return replace(self, rule=replace(self.rule, b=b))
 
+    def kernel(self, rows: int, K: int) -> "CusumBank":
+        """Fresh detector state for `rows` independent copies of K streams."""
+        return CusumBank(self.params, self.rule.kind, rows, K, d=self.rule.d)
+
 
 @dataclass(frozen=True)
 class GlrScheme:
@@ -288,89 +219,102 @@ class GlrScheme:
     def with_threshold(self, b: float) -> "GlrScheme":
         return replace(self, b=b)
 
+    def kernel(self, rows: int, K: int) -> "CusumBank | WindowGlr":
+        """Fresh detector state for `rows` independent copies of K streams."""
+        if self.params.variant != GLR_CHAN1:
+            return WindowGlr(self.params, rows, K)
+        if self.fam is None:
+            raise ConfigError("chan1 scheme needs a nominal family")
+        return CusumBank(LocalParams(0.0, self.fam), GLR_CHAN1, rows, K, p0=self.params.p0)
+
 
 Scheme = LAlphaScheme | GlrScheme
 
 
+
+
 # ---------------------------------------------------------------------------
-# Batch engine: many replicates advance in lock step, each with its own RNG
+# Detector kernels: the threshold-free global-statistic path of `rows`
+# independent copies of a scheme, advanced one (rows, K, B) block at a time.
+# The batch engine runs one row per replicate, the live monitor one row.
 # ---------------------------------------------------------------------------
 
-class _LAlphaState:
-    def __init__(self, scheme: LAlphaScheme, n_rows: int, K: int):
-        self.scheme = scheme
-        self.w = np.zeros((n_rows, K))
+class CusumBank:
+    """K recursive local statistics per row, fused into one global statistic.
 
-    def run_block(self, X: np.ndarray) -> np.ndarray:
-        """Process a (rows, K, B) block; return first alarm offset per row (-1 if none)."""
-        inc = lalpha_increment(X, self.scheme.params)
-        rule = self.scheme.rule
-        hit = np.full(X.shape[0], -1, dtype=np.int64)
-        for s in range(X.shape[2]):
-            self.w = np.maximum(self.w + inc[:, :, s], 0.0)
-            stat = _fuse_stat(self.w, rule)
-            new = (stat >= rule.b) & (hit < 0)
-            hit[new] = s
-        return hit
+    The fusion is a FusionRule kind for the L_alpha schemes, or chan1's
+    recursive mixture statistic over the alpha = 0 bank.
+    """
 
-    def filter(self, keep: np.ndarray):
-        self.w = self.w[keep]
+    def __init__(self, local: LocalParams, fusion: str, rows: int, K: int,
+                 d: float = 0.0, p0: float = 0.0):
+        self.local, self.fusion, self.d, self.p0 = local, fusion, d, p0
+        self.w = np.zeros((rows, K))
 
+    def _fuse(self, w: np.ndarray):
+        if self.fusion == "soft_threshold":
+            return np.maximum(w - self.d, 0.0).sum(axis=-1)
+        if self.fusion == "max":
+            return w.max(axis=-1)
+        if self.fusion == "sum":
+            return w.sum(axis=-1)
+        return glr_recursive_stat(w, self.p0)
 
-class _Chan1State:
-    def __init__(self, scheme: GlrScheme, n_rows: int, K: int):
-        if scheme.fam is None:
-            raise ConfigError("chan1 scheme needs a nominal family")
-        self.scheme = scheme
-        self.local = LocalParams(alpha=0.0, fam=scheme.fam)
-        self.w = np.zeros((n_rows, K))
-
-    def run_block(self, X: np.ndarray) -> np.ndarray:
+    def path(self, X: np.ndarray) -> np.ndarray:
+        """Global statistic after each step of a (rows, K, B) block, shape (rows, B)."""
         inc = lalpha_increment(X, self.local)
-        p0, b = self.scheme.params.p0, self.scheme.b
-        hit = np.full(X.shape[0], -1, dtype=np.int64)
+        out = np.empty((X.shape[0], X.shape[2]))
         for s in range(X.shape[2]):
             self.w = np.maximum(self.w + inc[:, :, s], 0.0)
-            stat = glr_recursive_stat(self.w, p0)
-            new = (stat >= b) & (hit < 0)
-            hit[new] = s
-        return hit
+            out[:, s] = self._fuse(self.w)
+        return out
 
     def filter(self, keep: np.ndarray):
         self.w = self.w[keep]
 
 
-class _WindowGlrState:
-    def __init__(self, scheme: GlrScheme, n_rows: int, K: int):
-        self.scheme = scheme
-        self.coef = 1.0 if scheme.params.variant == GLR_XS else CHAN2_COEF
-        self.buf = np.zeros((n_rows, K, scheme.params.window))
+class WindowGlr:
+    """Window-limited GLR scan (Xie-Siegmund or chan2) over the trailing observations."""
+
+    def __init__(self, params: GlrParams, rows: int, K: int):
+        self.p0 = params.p0
+        self.coef = 1.0 if params.variant == GLR_XS else CHAN2_COEF
+        self.buf = np.zeros((rows, K, params.window))
         self.filled = 0
 
-    def run_block(self, X: np.ndarray) -> np.ndarray:
-        p0, b = self.scheme.params.p0, self.scheme.b
-        hit = np.full(X.shape[0], -1, dtype=np.int64)
+    def path(self, X: np.ndarray) -> np.ndarray:
+        """Global statistic after each step of a (rows, K, B) block, shape (rows, B)."""
+        out = np.empty((X.shape[0], X.shape[2]))
         for s in range(X.shape[2]):
             self.buf[:, :, :-1] = self.buf[:, :, 1:]
             self.buf[:, :, -1] = X[:, :, s]
             self.filled = min(self.filled + 1, self.buf.shape[2])
-            window = self.buf[:, :, -self.filled:]
-            stat = glr_scan_stat(window, p0, self.coef)
-            new = (stat >= b) & (hit < 0)
-            hit[new] = s
-        return hit
+            out[:, s] = glr_scan_stat(self.buf[:, :, -self.filled:], self.p0, self.coef)
+        return out
 
     def filter(self, keep: np.ndarray):
         self.buf = self.buf[keep]
 
 
-def _make_state(scheme: Scheme, n_rows: int, K: int):
-    if isinstance(scheme, LAlphaScheme):
-        return _LAlphaState(scheme, n_rows, K)
-    if scheme.params.variant == GLR_CHAN1:
-        return _Chan1State(scheme, n_rows, K)
-    return _WindowGlrState(scheme, n_rows, K)
+def first_hits(path: np.ndarray, b: float) -> np.ndarray:
+    """Offset of the first step at which each row's path reaches b; -1 if none."""
+    hit = path >= b
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
 
+
+def _require_finite(X: np.ndarray, first_step: int):
+    """Reject a (K, T) block holding NaN or +-inf: it would blind the statistic for good."""
+    finite = np.isfinite(X)
+    if not finite.all():
+        t = int(finite.all(axis=0).argmin())
+        k = int(finite[:, t].argmin())
+        raise ConfigError(f"non-finite value {X[k, t]} at step {first_step + t}, "
+                          f"column {k + 1}")
+
+
+# ---------------------------------------------------------------------------
+# Batch engine: many replicates advance in lock step, each with its own RNG
+# ---------------------------------------------------------------------------
 
 def _replicate_rngs(seed: int, start: int, count: int):
     return [np.random.default_rng(np.random.SeedSequence((seed, start + i)))
@@ -393,14 +337,14 @@ def simulate_run_lengths(scheme: Scheme, sampler, reps: int, cap: int, seed: int
     alarmed = np.zeros(reps, dtype=bool)
     rngs = _replicate_rngs(seed, rep_offset, reps)
     active = np.arange(reps)
-    state = _make_state(scheme, reps, K)
+    kernel = scheme.kernel(reps, K)
     t = 0
     while active.size and t < cap:
         B = min(BLOCK, cap - t)
         X = np.empty((active.size, K, B))
         for row, i in enumerate(active):
             X[row] = sampler.draw(rngs[i], t, B)
-        hits = state.run_block(X)
+        hits = first_hits(kernel.path(X), scheme.threshold)
         done = hits >= 0
         if done.any():
             stopped = active[done]
@@ -408,7 +352,7 @@ def simulate_run_lengths(scheme: Scheme, sampler, reps: int, cap: int, seed: int
             alarmed[stopped] = True
             keep = ~done
             active = active[keep]
-            state.filter(keep)
+            kernel.filter(keep)
         t += B
     return lengths, ~alarmed
 
@@ -419,7 +363,7 @@ def run_to_alarm(scheme: Scheme, data: np.ndarray | None = None, *,
 
     Supply either a (K, T) observation matrix or a stream sampler.  The same
     function serves false-alarm runs (no-change sampler) and delay runs
-    (change at time 1).
+    (change at time 1).  Non-finite data raises ConfigError.
     """
     if (data is None) == (sampler is None):
         raise ConfigError("provide exactly one of data or sampler")
@@ -429,9 +373,10 @@ def run_to_alarm(scheme: Scheme, data: np.ndarray | None = None, *,
             raise ConfigError("data must be a (K, T) matrix")
         K, T = data.shape
         horizon = T if cap is None else min(cap, T)
-        state = _make_state(scheme, 1, K)
-        hits = state.run_block(data[None, :, :horizon])
-        return int(hits[0]) + 1 if hits[0] >= 0 else None
+        _require_finite(data[:, :horizon], 1)
+        path = scheme.kernel(1, K).path(data[None, :, :horizon])
+        hit = first_hits(path, scheme.threshold)[0]
+        return int(hit) + 1 if hit >= 0 else None
     if cap is None:
         raise ConfigError("cap is required with a sampler")
     lengths, censored = simulate_run_lengths(scheme, sampler, reps=1, cap=cap, seed=seed)
@@ -441,28 +386,23 @@ def run_to_alarm(scheme: Scheme, data: np.ndarray | None = None, *,
 class StreamMonitor:
     """Incremental per-step monitoring for live data feeds.
 
-    Feeds one K-vector at a time and reports the global statistic and alarm
-    flag after each step.
+    The scheme's batch kernel with a single row, fed one K-vector at a time;
+    each step reports the global statistic and whether it reached the
+    threshold.  A non-finite value raises ConfigError naming its step and
+    column, since it would blind the statistic for every later step.
     """
 
     def __init__(self, scheme: Scheme, K: int):
         self.scheme = scheme
         self.K = K
-        self._state = _make_state(scheme, 1, K)
+        self._kernel = scheme.kernel(1, K)
         self.n = 0
 
     def step(self, obs) -> StepDecision:
         obs = np.asarray(obs, dtype=float)
         if obs.shape != (self.K,):
             raise ConfigError(f"expected {self.K} values, got shape {obs.shape}")
-        hit = self._state.run_block(obs[None, :, None])
+        _require_finite(obs[:, None], self.n + 1)
+        stat = float(self._kernel.path(obs[None, :, None])[0, 0])
         self.n += 1
-        state = self._state
-        if isinstance(state, _WindowGlrState):
-            window = state.buf[0, :, -state.filled:]
-            stat = float(glr_scan_stat(window, self.scheme.params.p0, state.coef))
-        elif isinstance(state, _Chan1State):
-            stat = float(glr_recursive_stat(state.w[0], self.scheme.params.p0))
-        else:
-            stat = float(_fuse_stat(state.w[0], self.scheme.rule))
-        return StepDecision(global_stat=stat, alarmed=bool(hit[0] >= 0))
+        return StepDecision(global_stat=stat, alarmed=stat >= self.scheme.threshold)

@@ -160,6 +160,14 @@ class GrossErrorModel:
     def with_epsilon(self, epsilon: float) -> "GrossErrorModel":
         return GrossErrorModel(epsilon, self.nominal, self.outlier)
 
+    def sample(self, rng: np.random.Generator, theta, size):
+        """Draws from h_theta of the given shape; theta may be an array of that shape."""
+        values = rng.normal(theta, self.nominal.sigma, size)
+        if self.epsilon > 0.0:
+            mask = rng.random(size) < self.epsilon
+            values = np.where(mask, self.outlier.sample(rng, size), values)
+        return values
+
 
 def mixture_pdf(x, theta: float, model: GrossErrorModel):
     """Mixture density (1 - eps) * f_theta(x) + eps * g(x).
@@ -229,17 +237,12 @@ class MixtureStreamSampler:
     def draw(self, rng: np.random.Generator, t0: int, n: int) -> np.ndarray:
         """Observations for time steps t0+1 .. t0+n, shape (K, n)."""
         sc, model = self.scenario, self.model
-        fam = model.nominal
-        theta = np.full((sc.K, n), fam.theta0)
+        theta = np.full((sc.K, n), model.nominal.theta0)
         if sc.nu != math.inf:
             post = np.arange(t0 + 1, t0 + n + 1) >= sc.nu
             if post.any():
                 theta[:sc.m, post] = sc.theta_post
-        values = rng.normal(theta, fam.sigma)
-        if model.epsilon > 0.0:
-            mask = rng.random((sc.K, n)) < model.epsilon
-            values = np.where(mask, model.outlier.sample(rng, (sc.K, n)), values)
-        return values
+        return model.sample(rng, theta, (sc.K, n))
 
 
 def sample_matrix(model: GrossErrorModel, scenario: ChangeScenario,

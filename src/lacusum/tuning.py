@@ -103,15 +103,6 @@ def mixture_nodes(model: GrossErrorModel, theta: float, n_nodes: int):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _mixture_sample(model: GrossErrorModel, theta: float, n: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    values = rng.normal(theta, model.nominal.sigma, n)
-    if model.epsilon > 0.0:
-        mask = rng.random(n) < model.epsilon
-        values = np.where(mask, model.outlier.sample(rng, n), values)
-    return values
-
-
 def info_number_closed_form(theta: float, alpha: float) -> float:
     """Contamination-free info number for the (0, 1, 1)-normalized family."""
     if alpha == 0.0:
@@ -140,15 +131,12 @@ def info_number(theta: float, epsilon: float, alpha: float, model: GrossErrorMod
                       stacklevel=2)
     if epsilon == 0.0 and fam.is_standard:
         return info_number_closed_form(theta, alpha)
-    p = LocalParams(alpha=alpha, fam=fam)
-    if qc.method == "monte_carlo":
-        rng = np.random.default_rng(qc.seed)
-        x = _mixture_sample(model, theta, qc.n_samples, rng)
-        return float(np.mean(lalpha_increment(x, p)))
-    x, w = mixture_nodes(model, theta, qc.nodes)
-    coarse = float(np.dot(w, lalpha_increment(x, p)))
+    y, w = _increment_values(model, theta, alpha, qc)
+    if w is None:
+        return float(np.mean(y))
+    coarse = float(np.dot(w, y))
     x2, w2 = mixture_nodes(model, theta, 2 * qc.nodes - 1)
-    fine = float(np.dot(w2, lalpha_increment(x2, p)))
+    fine = float(np.dot(w2, lalpha_increment(x2, LocalParams(alpha=alpha, fam=fam))))
     residual = abs(fine - coarse)
     if residual > max(qc.tolerance, 1e-8 * max(1.0, abs(fine))):
         raise QuadratureError(f"info quadrature residual {residual:.3e}", residual=residual)
@@ -213,12 +201,11 @@ def solve_mgf_root(values: np.ndarray, weights: np.ndarray | None = None,
 
 
 def _increment_values(model: GrossErrorModel, theta: float, alpha: float,
-                      qc: QuadratureConfig, rng: np.random.Generator | None = None):
+                      qc: QuadratureConfig):
     """(Y values, weights) for the increment under h_theta, per the chosen method."""
     p = LocalParams(alpha=alpha, fam=model.nominal)
     if qc.method == "monte_carlo":
-        rng = rng or np.random.default_rng(qc.seed)
-        x = _mixture_sample(model, theta, qc.n_samples, rng)
+        x = model.sample(np.random.default_rng(qc.seed), theta, qc.n_samples)
         return lalpha_increment(x, p), None
     x, w = mixture_nodes(model, theta, qc.nodes)
     return lalpha_increment(x, p), w
@@ -280,8 +267,8 @@ def tuning_grid(epsilon: float, model: GrossErrorModel, alpha_max: float = 2.0,
 
     if qc.method == "monte_carlo":
         rng = np.random.default_rng(qc.seed)
-        x0 = _mixture_sample(model, fam.theta0, qc.n_samples, rng)
-        x1 = _mixture_sample(model, fam.theta1, qc.n_samples, rng)
+        x0 = model.sample(rng, fam.theta0, qc.n_samples)
+        x1 = model.sample(rng, fam.theta1, qc.n_samples)
         w0 = w1 = None
     else:
         x0, w0 = mixture_nodes(model, fam.theta0, qc.nodes)

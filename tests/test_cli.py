@@ -95,6 +95,64 @@ class TestTuneConfig:
         assert flagged == self.run_tune(capsys, tmp_path, gamma="50", k="20")
 
 
+class TestConfigKeysTakeEffect:
+    """Every whitelisted key either changes the output or is rejected with exit 1.
+
+    The one known-inert key is [simulate] gamma: it is accepted and feeds
+    ExperimentSpec.gamma, which no delay-table computation reads yet.
+    """
+
+    MONITOR_STREAM = "x1,x2\n0.4,0.2\n2.0,1.8\n2.2,2.4\n2.1,2.2\n"
+    COMMANDS = {
+        "calibrate": (["calibrate", "--alpha", "0.21", "--d", "0.3", "--k", "3"],
+                      {"model": {"epsilon": "0.1"},
+                       "calibrate": {"gamma": "20", "reps": "200"}}),
+        "monitor": (["monitor"], {"scheme": {"alpha": "0.21", "b": "2.0", "d": "0.5"}}),
+        "simulate": (["simulate"],
+                     {"scenario": {"k": "5"}, "simulate": {"m_grid": "2", "reps": "20"},
+                      "scheme": {"alpha": "0.21", "b": "3.0", "d": "0.5"}}),
+        "casestudy": (["casestudy"], {"casestudy": {"length": "256"}}),
+    }
+
+    def run(self, capsys, tmp_path, command, section=None, key=None, value=None,
+            flags=()):
+        argv, sections = self.COMMANDS[command]
+        sections = {name: dict(keys) for name, keys in sections.items()}
+        if section is not None:
+            sections.setdefault(section, {})[key] = value
+        cfg = tmp_path / f"{command}.ini"
+        cfg.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                               for name, keys in sections.items()))
+        return run_cli([*argv, "--config", str(cfg), *flags],
+                       stdin_text=self.MONITOR_STREAM, capsys=capsys)
+
+    @pytest.mark.parametrize("command,section,key,value,effect", [
+        ("calibrate", "calibrate", "rel_tol", "0.3", "changes"),
+        ("monitor", "monitor", "stop_on_alarm", "false", "changes"),
+        ("calibrate", "scenario", "m", "10", "rejected"),
+        ("calibrate", "scenario", "nu", "1", "rejected"),
+        ("casestudy", "casestudy", "mix_pre", "0.9,0.1", "rejected"),
+        ("casestudy", "casestudy", "mix_post", "0.9,0.1", "rejected"),
+        ("simulate", "simulate", "gamma", "50", "inert"),
+    ])
+    def test_key(self, capsys, tmp_path, command, section, key, value, effect):
+        code, out, err = self.run(capsys, tmp_path, command, section, key, value)
+        if effect == "rejected":
+            assert code == 1 and f"'{key}'" in err
+            return
+        base = self.run(capsys, tmp_path, command)
+        assert code == base[0] == 0, err
+        assert (out != base[1]) == (effect == "changes")
+
+    @pytest.mark.parametrize("command,section,key,value,flag", [
+        ("calibrate", "calibrate", "rel_tol", "0.3", "--rel-tol=0.05"),
+        ("monitor", "monitor", "stop_on_alarm", "false", "--stop-on-alarm"),
+    ])
+    def test_flag_beats_config(self, capsys, tmp_path, command, section, key, value, flag):
+        flagged = self.run(capsys, tmp_path, command, section, key, value, [flag])
+        assert flagged == self.run(capsys, tmp_path, command)
+
+
 class TestConfigHandling:
     def test_unknown_key_named(self, capsys, tmp_path):
         cfg = tmp_path / "c.ini"
@@ -158,6 +216,15 @@ class TestMonitorCommand:
                                 "--d", "0"], stdin_text=stream, capsys=capsys)
         lines = out.strip().splitlines()
         assert [line.split(",")[1] for line in lines[1:]] == ["0.5", "1"]
+
+    @pytest.mark.parametrize("alpha,cell", [("0.21", "nan"), ("0", "inf"), ("0", "-inf")])
+    def test_non_finite_value_exits_1(self, capsys, alpha, cell):
+        stream = f"x1,x2\n0.4,0.2\n2.0,{cell}\n5.0,5.0\n"
+        code, out, err = run_cli(["monitor", "--alpha", alpha, "--b", "2.0", "--d", "0.5"],
+                                 stdin_text=stream, capsys=capsys)
+        assert code == 1
+        assert "step 2, column 2" in err
+        assert len(out.strip().splitlines()) == 2  # header + the one good step
 
 
 class TestCalibrateCommand:

@@ -1,6 +1,7 @@
 """Local statistics, fusion, comparison schemes, and the run-length engine."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from lacusum import (
     ChangeScenario,
     ConfigError,
-    DetectorBank,
     FusionRule,
     GlrParams,
     GlrScheme,
@@ -21,15 +21,13 @@ from lacusum import (
     NominalFamily,
     OutlierSpec,
     StreamMonitor,
-    bank_update,
-    fuse,
-    glr_step,
     lalpha_increment,
     run_to_alarm,
     simulate_run_lengths,
-    u_plus,
 )
+from lacusum import detectors
 from lacusum.detectors import (
+    CHAN1_COEF,
     CHAN2_COEF,
     _mix_log_term,
     glr_recursive_stat,
@@ -45,6 +43,54 @@ def brute_force_cusum(llr_increments):
     for nu in range(n):
         best = max(best, sum(llr_increments[nu:]))
     return best
+
+
+def u_plus(prefix_sums, k, n, i):
+    """Positive part of the normalized partial sum of stream k over observations i+1..n.
+
+    prefix_sums has shape (K, T+1) with prefix_sums[:, 0] = 0.
+    """
+    if not 0 <= i < n:
+        raise ValueError(f"need 0 <= i < n, got i={i}, n={n}")
+    return max(0.0, float((prefix_sums[k, n] - prefix_sums[k, i]) / math.sqrt(n - i)))
+
+
+def prefix_sums(X):
+    return np.concatenate([np.zeros((X.shape[0], 1)), np.cumsum(X, axis=1)], axis=1)
+
+
+def mix_term(u, p0, coef=1.0):
+    """Scalar log(1 - p0 + coef * p0 * exp(u^2 / 2)), the GLR per-stream term."""
+    return math.log(1 - p0 + coef * p0 * math.exp(u * u / 2))
+
+
+def lalpha(alpha, fam, kind="sum", b=1e9, d=0.0):
+    return LAlphaScheme(LocalParams(alpha, fam), FusionRule(kind=kind, b=b, d=d))
+
+
+def xie_siegmund(p0=0.1, window=200, b=1e9):
+    return GlrScheme(GlrParams(p0=p0, window=window), b=b)
+
+
+def feed(scheme, rows):
+    """Per-step decisions of a live monitor fed the rows of a (T, K) array."""
+    rows = np.asarray(rows, dtype=float)
+    mon = StreamMonitor(scheme, K=rows.shape[1])
+    return [mon.step(row) for row in rows]
+
+
+def final_stat(scheme, rows):
+    return feed(scheme, rows)[-1].global_stat
+
+
+ALL_SCHEMES = {
+    "soft": lambda fam: lalpha(0.21, fam, "soft_threshold", b=6.0, d=1.0),
+    "max": lambda fam: lalpha(0.21, fam, "max", b=4.0),
+    "sum": lambda fam: lalpha(0.0, fam, "sum", b=12.0),
+    "chan1": lambda fam: GlrScheme(GlrParams(0.1, variant="chan1"), 8.0, fam=fam),
+    "xie_siegmund": lambda fam: xie_siegmund(window=30, b=8.0),
+    "chan2": lambda fam: GlrScheme(GlrParams(0.1, 30, "chan2"), 8.0),
+}
 
 
 class TestIncrement:
@@ -83,76 +129,72 @@ class TestIncrement:
 
 
 class TestBank:
+    """The CUSUM bank, read through a one-stream sum-fused monitor (stat = W)."""
+
     def test_reflection_at_zero(self, fam):
-        bank = DetectorBank.fresh(LocalParams(0.0, fam), 1)
-        updated = bank_update(bank, np.array([-3.0]))  # increment -3.5
-        assert updated.w[0] == 0.0
-        assert updated.n == 1
+        mon = StreamMonitor(lalpha(0.0, fam), K=1)
+        assert mon.step(np.array([-3.0])).global_stat == 0.0  # increment -3.5
+        assert mon.n == 1
 
     def test_no_move_at_symmetric_point(self, fam):
-        bank = DetectorBank(LocalParams(0.0, fam), w=np.array([2.0]), n=5)
-        updated = bank_update(bank, np.array([0.5]))
-        assert updated.w[0] == pytest.approx(2.0, abs=1e-15)
+        stats = [d.global_stat for d in feed(lalpha(0.0, fam), [[1.0]] * 4 + [[0.5]])]
+        assert stats[3] == 2.0
+        assert stats[4] == pytest.approx(2.0, abs=1e-15)
 
     def test_length_mismatch(self, fam):
-        bank = DetectorBank.fresh(LocalParams(0.0, fam), 3)
+        mon = StreamMonitor(lalpha(0.0, fam), K=3)
         with pytest.raises(ConfigError):
-            bank_update(bank, np.zeros(4))
+            mon.step(np.zeros(4))
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=30))
     @settings(max_examples=200, deadline=None)
     def test_recursion_equals_brute_force(self, xs):
         fam = NominalFamily(0.0, 1.0, 1.0)
         p = LocalParams(0.0, fam)
-        bank = DetectorBank.fresh(p, 1)
-        for x in xs:
-            bank = bank_update(bank, np.array([x]))
-        increments = [float(lalpha_increment(x, p)) for x in xs]
-        assert bank.w[0] == pytest.approx(brute_force_cusum(increments), abs=1e-10)
+        decisions = feed(LAlphaScheme(p, FusionRule.sum_rule(1e9)), np.array(xs)[:, None])
+        for n, decision in enumerate(decisions, start=1):
+            increments = [float(lalpha_increment(x, p)) for x in xs[:n]]
+            assert decision.global_stat == pytest.approx(brute_force_cusum(increments),
+                                                         abs=1e-10)
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=50),
            st.sampled_from([0.0, 0.21, 0.51]))
     @settings(max_examples=200, deadline=None)
     def test_nonnegativity(self, xs, alpha):
         fam = NominalFamily(0.0, 1.0, 1.0)
-        bank = DetectorBank.fresh(LocalParams(alpha, fam), 1)
-        for x in xs:
-            bank = bank_update(bank, np.array([x]))
-            assert bank.w[0] >= 0.0
+        for decision in feed(lalpha(alpha, fam), np.array(xs)[:, None]):
+            assert decision.global_stat >= 0.0
 
 
 class TestFusion:
-    def test_all_zero(self):
-        rule = FusionRule.soft(b=5.0, d=1.0)
-        bank = DetectorBank(LocalParams(0.0, NominalFamily(0, 1)), w=np.zeros(10), n=0)
-        decision = fuse(bank, rule)
+    """Fusion rules applied to banks built from alpha = 0 increments x - 0.5."""
+
+    def test_all_zero(self, fam):
+        decision = feed(lalpha(0.0, fam, "soft_threshold", b=5.0, d=1.0), [[0.5] * 10])[0]
         assert decision.global_stat == 0.0
         assert not decision.alarmed
 
     def test_soft_with_zero_d_equals_sum(self, fam, rng):
-        w = rng.exponential(1.0, 20)
-        bank = DetectorBank(LocalParams(0.0, fam), w=w, n=3)
-        soft = fuse(bank, FusionRule.soft(b=1.0, d=0.0))
-        total = fuse(bank, FusionRule.sum_rule(b=1.0))
-        assert soft.global_stat == pytest.approx(total.global_stat, abs=1e-15)
+        rows = rng.normal(1.0, 1.0, (30, 20))
+        soft = feed(lalpha(0.0, fam, "soft_threshold", b=1.0, d=0.0), rows)
+        total = feed(lalpha(0.0, fam, "sum", b=1.0), rows)
+        assert [d.global_stat for d in soft] == [d.global_stat for d in total]
 
     def test_only_exceeding_streams_contribute(self, fam):
-        w = np.zeros(10)
-        w[0], w[1] = 3.0, 0.5
-        bank = DetectorBank(LocalParams(0.0, fam), w=w, n=1)
-        decision = fuse(bank, FusionRule.soft(b=5.0, d=1.0))
+        rows = np.full((6, 10), 0.5)
+        rows[:, 0] = 1.0   # W = 3.0
+        rows[0, 1] = 1.0   # W = 0.5
+        decision = feed(lalpha(0.0, fam, "soft_threshold", b=5.0, d=1.0), rows)[-1]
         assert decision.global_stat == pytest.approx(2.0, abs=1e-15)
 
     def test_max_rule(self, fam):
-        bank = DetectorBank(LocalParams(0.0, fam), w=np.array([0.2, 4.0, 1.0]), n=1)
-        decision = fuse(bank, FusionRule.max_rule(b=3.0))
+        decision = feed(lalpha(0.0, fam, "max", b=3.0), [[0.75, 4.5, 1.5]])[0]
         assert decision.global_stat == 4.0
         assert decision.alarmed
 
     def test_alarm_iff_stat_at_threshold(self, fam):
-        bank = DetectorBank(LocalParams(0.0, fam), w=np.array([2.0]), n=1)
-        assert fuse(bank, FusionRule.sum_rule(b=2.0)).alarmed
-        assert not fuse(bank, FusionRule.sum_rule(b=2.0 + 1e-12)).alarmed
+        assert feed(lalpha(0.0, fam, "sum", b=2.0), [[2.5]])[0].alarmed
+        assert not feed(lalpha(0.0, fam, "sum", b=2.0 + 1e-12), [[2.5]])[0].alarmed
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -198,54 +240,78 @@ class TestScaling:
 
 
 class TestUPlus:
+    """U+ through a one-stream Xie-Siegmund monitor, whose statistic is
+    log(1 - p0 + p0 exp(U^2 / 2)) at the largest U+ over change times."""
+
+    P0 = 0.1
+
     def test_zero_observations(self):
         pref = np.zeros((1, 6))
         assert u_plus(pref, 0, 5, 2) == 0.0
+        assert final_stat(xie_siegmund(self.P0), np.zeros((5, 1))) == 0.0
 
     def test_single_observation(self):
         pref = np.array([[0.0, 2.0]])
         assert u_plus(pref, 0, 1, 0) == 2.0
+        assert final_stat(xie_siegmund(self.P0), [[2.0]]) == \
+            pytest.approx(mix_term(2.0, self.P0), rel=1e-14)
 
     def test_four_ones(self):
-        pref = np.concatenate([[0.0], np.cumsum(np.ones(4))])[None, :]
-        assert u_plus(pref, 0, 4, 0) == pytest.approx(2.0, abs=1e-15)
+        X = np.ones((1, 4))
+        best = max(u_plus(prefix_sums(X), 0, 4, i) for i in range(4))
+        assert best == pytest.approx(2.0, abs=1e-15)
+        assert final_stat(xie_siegmund(self.P0), X.T) == \
+            pytest.approx(mix_term(best, self.P0), rel=1e-14)
 
     def test_negative_sum_clipped(self):
         pref = np.array([[0.0, -3.0]])
         assert u_plus(pref, 0, 1, 0) == 0.0
+        assert final_stat(xie_siegmund(self.P0), [[-3.0]]) == 0.0
 
     def test_contract_violation(self):
-        pref = np.zeros((1, 4))
+        with pytest.raises(ValueError):
+            u_plus(np.zeros((1, 4)), 0, 2, 2)
+        # the scheme's counterpart: a scan needs at least one candidate change time
         with pytest.raises(ConfigError):
-            u_plus(pref, 0, 2, 2)
+            GlrParams(p0=self.P0, window=0)
+
+    def test_window_scan_matches_partial_sums(self, rng):
+        # the monitor's statistic at every step, window-limited, from the formula
+        window, p0 = 4, self.P0
+        X = rng.normal(0.5, 1.0, (3, 12))
+        pref = prefix_sums(X)
+        for n, decision in enumerate(feed(xie_siegmund(p0, window), X.T), start=1):
+            want = max(sum(mix_term(u_plus(pref, k, n, i), p0) for k in range(3))
+                       for i in range(max(0, n - window), n))
+            assert decision.global_stat == pytest.approx(want, rel=1e-12)
 
 
 class TestGlr:
     def test_all_zero_history(self):
-        gp = GlrParams(p0=0.1, window=50)
-        decision = glr_step(gp, b=1.0, history=np.zeros((5, 10)))
         # U+ = 0 everywhere: every term is log(1 - p0 + p0) = 0
-        assert decision.global_stat == pytest.approx(0.0, abs=1e-12)
+        assert final_stat(xie_siegmund(0.1, 50), np.zeros((10, 5))) == \
+            pytest.approx(0.0, abs=1e-12)
 
     def test_small_p0_limit(self):
         hist = np.array([[1.0, 2.0], [0.5, -0.3]])
-        stats = [glr_step(GlrParams(p0=p), b=1.0, history=hist).global_stat
-                 for p in (1e-3, 1e-6, 1e-9)]
+        stats = [final_stat(xie_siegmund(p), hist.T) for p in (1e-3, 1e-6, 1e-9)]
         assert abs(stats[2]) < abs(stats[1]) < abs(stats[0])
         assert stats[2] == pytest.approx(0.0, abs=1e-6)
 
     def test_single_observation_formula(self):
         p0, x = 0.1, 1.7
-        decision = glr_step(GlrParams(p0=p0), b=10.0, history=np.array([[x]]))
-        want = math.log(1 - p0 + p0 * math.exp(max(0.0, x) ** 2 / 2))
-        assert decision.global_stat == pytest.approx(want, abs=1e-12)
+        decision = feed(xie_siegmund(p0, b=10.0), [[x]])[0]
+        assert decision.global_stat == pytest.approx(mix_term(max(0.0, x), p0), abs=1e-12)
+        assert not decision.alarmed
 
-    def test_chan1_needs_bank(self):
+    def test_chan1_needs_bank(self, fam):
         gp = GlrParams(p0=0.1, variant="chan1")
         with pytest.raises(ConfigError):
-            glr_step(gp, b=1.0, history=np.zeros((2, 2)))
-        decision = glr_step(gp, b=1.0, w_star=np.zeros(10))
+            StreamMonitor(GlrScheme(gp, b=1.0), K=2)
+        # x = 0.5 leaves the alpha = 0 bank at zero
+        decision = feed(GlrScheme(gp, b=1.0, fam=fam), [[0.5] * 10])[0]
         assert decision.global_stat == pytest.approx(10 * math.log(0.964), abs=1e-12)
+        assert 1 - 0.1 + CHAN1_COEF * 0.1 == pytest.approx(0.964, abs=1e-15)
 
     @pytest.mark.parametrize("coef", [1.0, CHAN2_COEF])
     def test_scan_matches_direct_formula(self, rng, coef):
@@ -407,3 +473,71 @@ class TestStreamMonitor:
         decisions = [mon.step(row) for row in rng.normal(1.0, 1.0, (30, 2))]
         stats = np.array([d.global_stat for d in decisions])
         assert np.all(np.isfinite(stats))
+
+    @pytest.mark.parametrize("name", sorted(ALL_SCHEMES))
+    def test_steps_equal_block_path(self, fam, name):
+        # the live monitor is the batch kernel with one row, bit for bit
+        scheme = ALL_SCHEMES[name](fam)
+        data = np.random.default_rng(8).normal(0.6, 1.5, (6, 90))
+        block = scheme.kernel(1, 6).path(data[None])[0]
+        live = [d.global_stat for d in feed(scheme, data.T)]
+        np.testing.assert_array_equal(live, block)
+        hit = run_to_alarm(scheme, data)
+        assert hit is not None
+        assert [d.alarmed for d in feed(scheme, data.T)].index(True) + 1 == hit
+
+    @pytest.mark.parametrize("name,stat_fn", [("chan1", "glr_recursive_stat"),
+                                              ("xie_siegmund", "glr_scan_stat"),
+                                              ("chan2", "glr_scan_stat")])
+    def test_statistic_computed_once_per_step(self, fam, monkeypatch, name, stat_fn):
+        calls = []
+        inner = getattr(detectors, stat_fn)
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(detectors, stat_fn, counted)
+        feed(ALL_SCHEMES[name](fam).with_threshold(1e9), np.zeros((25, 4)))
+        assert len(calls) == 25
+
+    @pytest.mark.parametrize("name", sorted(ALL_SCHEMES))
+    def test_pickled_kernel_continues_the_path(self, fam, name):
+        scheme = ALL_SCHEMES[name](fam)
+        X = np.random.default_rng(9).normal(0.5, 1.2, (3, 5, 70))
+        kernel = scheme.kernel(3, 5)
+        whole = np.hstack([kernel.path(X[:, :, :40]), kernel.path(X[:, :, 40:])])
+        resumed = scheme.kernel(3, 5)
+        first = resumed.path(X[:, :, :40])
+        restored = pickle.loads(pickle.dumps(resumed))
+        np.testing.assert_array_equal(np.hstack([first, restored.path(X[:, :, 40:])]), whole)
+
+
+class TestNonFiniteInput:
+    """A NaN or infinity would poison the statistic for every later step."""
+
+    @pytest.mark.parametrize("alpha", [0.21, 0.0])
+    def test_nan_names_step_and_column(self, fam, alpha):
+        scheme = lalpha(alpha, fam, "soft_threshold", b=16.4, d=1.6831)
+        mon = StreamMonitor(scheme, K=4)
+        mon.step(np.zeros(4))
+        mon.step(np.zeros(4))
+        with pytest.raises(ConfigError, match=r"step 3, column 2"):
+            mon.step(np.array([0.0, np.nan, 0.0, 0.0]))
+        # the rejected row left the monitor as it was: later shifts still alarm
+        decisions = [mon.step(np.full(4, 5.0)) for _ in range(200)]
+        assert any(d.alarmed for d in decisions)
+        assert all(math.isfinite(d.global_stat) for d in decisions)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinities_rejected_at_alpha_zero(self, fam, value):
+        mon = StreamMonitor(lalpha(0.0, fam, "soft_threshold", b=16.4, d=1.6831), K=3)
+        with pytest.raises(ConfigError, match=r"step 1, column 3"):
+            mon.step(np.array([0.0, 0.0, value]))
+
+    @pytest.mark.parametrize("name", ["soft", "chan1", "xie_siegmund"])
+    def test_run_to_alarm_rejects_non_finite_data(self, fam, name):
+        data = np.zeros((4, 30))
+        data[2, 17] = np.nan
+        with pytest.raises(ConfigError, match=r"step 18, column 3"):
+            run_to_alarm(ALL_SCHEMES[name](fam), data)
