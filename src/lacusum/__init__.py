@@ -6,7 +6,6 @@ tuning, breakdown, calibration and simulation machinery around them.
 
 from .breakdown import (
     BreakdownReport,
-    SupSearch,
     alpha_opt,
     breakdown_grid,
     breakdown_point,
@@ -14,7 +13,6 @@ from .breakdown import (
     density_power_divergence,
     increment_sup,
     m_alpha,
-    worst_case_drift,
 )
 from .calibration import (
     CalibrationResult,
@@ -84,18 +82,15 @@ from .profiles import (
 from .tuning import (
     GridRow,
     QuadratureConfig,
-    TuningReport,
     alpha_oracle,
     arl_lower_bound,
     b_gamma,
     d_opt,
-    efficiency_improvement,
     info_number,
     info_number_closed_form,
     solve_lambda,
     solve_mgf_root,
     tuning_grid,
-    tuning_report,
 )
 
 __version__ = "0.1.0"

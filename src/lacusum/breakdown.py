@@ -21,15 +21,11 @@ from .detectors import LocalParams, lalpha_increment
 from .errors import ConfigError
 from .models import NominalFamily, SQRT_2PI
 
-
-@dataclass(frozen=True)
-class SupSearch:
-    """Brute-force search config for the increment supremum: coarse grid, then
-    golden-section refinement around the best cell."""
-
-    margin_sigmas: float = 10.0
-    grid_points: int = 20001
-    refine_tol: float = 1e-10
+# increment_sup's grid reaches this many sigmas beyond both modes; the
+# golden-section refinement stops at this tolerance
+SUP_MARGIN_SIGMAS = 10.0
+SUP_GRID_POINTS = 20001
+SUP_REFINE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -63,14 +59,6 @@ def density_power_divergence(fam: NominalFamily, alpha: float) -> float:
     return math.sqrt(1.0 + alpha) / (alpha * (SQRT_2PI * fam.sigma) ** alpha) * (1.0 - decay)
 
 
-def dpd_integrand(x, fam: NominalFamily, alpha: float):
-    """Integrand of the divergence definition; used as an independent oracle."""
-    from .models import nominal_pdf
-    f1 = nominal_pdf(x, fam.theta1, fam)
-    f0 = nominal_pdf(x, fam.theta0, fam)
-    return f1 ** (1 + alpha) - (1 + 1 / alpha) * f0 * f1**alpha + (1 / alpha) * f0 ** (1 + alpha)
-
-
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -90,8 +78,7 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def increment_sup(fam: NominalFamily, alpha: float,
-                  search: SupSearch | None = None) -> SupResult:
+def increment_sup(fam: NominalFamily, alpha: float) -> SupResult:
     """Supremum of the local increment over the real line, with its argmax.
 
     Coarse grid over theta0 - margin*sigma .. theta1 + margin*sigma (the
@@ -100,41 +87,32 @@ def increment_sup(fam: NominalFamily, alpha: float,
     """
     if alpha <= 0:
         raise ConfigError("increment_sup needs alpha > 0 (sup is infinite at 0)")
-    search = search or SupSearch()
     p = LocalParams(alpha=alpha, fam=fam)
-    lo = fam.theta0 - search.margin_sigmas * fam.sigma
-    hi = fam.theta1 + search.margin_sigmas * fam.sigma
-    xs = np.linspace(lo, hi, search.grid_points)
+    lo = fam.theta0 - SUP_MARGIN_SIGMAS * fam.sigma
+    hi = fam.theta1 + SUP_MARGIN_SIGMAS * fam.sigma
+    xs = np.linspace(lo, hi, SUP_GRID_POINTS)
     vals = lalpha_increment(xs, p)
     i = int(np.argmax(vals))
     step = xs[1] - xs[0]
     a = xs[max(i - 1, 0)]
     b = xs[min(i + 1, len(xs) - 1)]
     f = lambda x: float(lalpha_increment(np.array([x]), p)[0])
-    x_star, v_star = _golden_max(f, a, b, max(search.refine_tol, step * 1e-9))
+    x_star, v_star = _golden_max(f, a, b, max(SUP_REFINE_TOL, step * 1e-9))
     if vals[i] > v_star:
         x_star, v_star = float(xs[i]), float(vals[i])
     return SupResult(x=x_star, value=v_star)
 
 
-def m_alpha(fam: NominalFamily, alpha: float, search: SupSearch | None = None) -> float:
+def m_alpha(fam: NominalFamily, alpha: float) -> float:
     """Essential supremum of the increment; infinite at alpha = 0 (unbounded log-LR)."""
     if alpha < 0:
         raise ConfigError("alpha must be >= 0")
     if alpha == 0.0:
         return math.inf
-    return increment_sup(fam, alpha, search).value
+    return increment_sup(fam, alpha).value
 
 
-def m_alpha_upper_bound(fam: NominalFamily, alpha: float) -> float:
-    """Analytic bound 2 (2 pi sigma^2)^(-alpha/2) / alpha."""
-    if alpha <= 0:
-        return math.inf
-    return 2.0 * (SQRT_2PI * fam.sigma) ** (-alpha) / alpha
-
-
-def breakdown_point(fam: NominalFamily, alpha: float,
-                    search: SupSearch | None = None) -> float:
+def breakdown_point(fam: NominalFamily, alpha: float) -> float:
     """False-alarm breakdown point of the scheme at this alpha.
 
     Zero when M(alpha) is infinite while the divergence is finite, which is
@@ -142,43 +120,31 @@ def breakdown_point(fam: NominalFamily, alpha: float,
     divergence is always finite for a Gaussian location family, so the other
     infinite cases of the general theory cannot occur here.
     """
-    return breakdown_report(fam, alpha, search).eps_star
+    return breakdown_report(fam, alpha).eps_star
 
 
-def breakdown_report(fam: NominalFamily, alpha: float,
-                     search: SupSearch | None = None) -> BreakdownReport:
+def breakdown_report(fam: NominalFamily, alpha: float) -> BreakdownReport:
     """Breakdown point together with its two ingredients."""
     d = density_power_divergence(fam, alpha)
-    M = m_alpha(fam, alpha, search)
+    M = m_alpha(fam, alpha)
     eps = 0.0 if math.isinf(M) else d / (d + (1.0 + alpha) * M)
     return BreakdownReport(alpha=alpha, d_alpha=d, m_alpha=M, eps_star=eps)
 
 
-def worst_case_drift(fam: NominalFamily, alpha: float, epsilon: float,
-                     search: SupSearch | None = None) -> float:
-    """Expected pre-change increment under the worst-case outlier distribution.
-
-    Negative below the breakdown point, positive above it.
-    """
-    r = breakdown_report(fam, alpha, search)
-    return -(1.0 - epsilon) / (1.0 + alpha) * r.d_alpha + epsilon * r.m_alpha
-
-
-def breakdown_grid(fam: NominalFamily, alpha_max: float = 2.0, step: float = 0.01,
-                   search: SupSearch | None = None) -> list[BreakdownReport]:
+def breakdown_grid(fam: NominalFamily, alpha_max: float = 2.0,
+                   step: float = 0.01) -> list[BreakdownReport]:
     """Breakdown curve over the alpha grid (alpha = 0 included for reference)."""
     if step <= 0:
         raise ConfigError("grid step must be positive")
     n_pts = int(round(alpha_max / step)) + 1
-    return [breakdown_report(fam, float(a), search)
+    return [breakdown_report(fam, float(a))
             for a in np.round(np.arange(n_pts) * step, 10)]
 
 
-def alpha_opt(fam: NominalFamily, alpha_max: float = 2.0, step: float = 0.01,
-              search: SupSearch | None = None) -> float:
+def alpha_opt(fam: NominalFamily, alpha_max: float = 2.0, step: float = 0.01) -> float:
     """Grid argmax of the breakdown point; ties break toward smaller alpha."""
     best_alpha, best = 0.0, 0.0
-    for report in breakdown_grid(fam, alpha_max, step, search):
+    for report in breakdown_grid(fam, alpha_max, step):
         if report.eps_star > best:
             best, best_alpha = report.eps_star, report.alpha
     return best_alpha

@@ -23,6 +23,10 @@ from .models import ChangeScenario, GrossErrorModel, MixtureStreamSampler
 # worker count
 REP_BLOCK = 250
 
+# calibrate_threshold's bracket search gives up after this many doublings
+# (or halvings) of b
+MAX_DOUBLINGS = 60
+
 
 @dataclass(frozen=True)
 class RunEstimate:
@@ -75,6 +79,8 @@ def run_lengths(scheme: Scheme, source, reps: int, cap: int, seed: int,
     Replicate seeds derive from (seed, replicate index), so the result is
     identical for every worker count.
     """
+    if reps < 2:
+        raise ConfigError("need at least 2 replicates")
     sampler = _as_sampler(source, K)
     blocks = [(scheme, sampler, min(REP_BLOCK, reps - s), cap, seed, s)
               for s in range(0, reps, REP_BLOCK)]
@@ -95,8 +101,6 @@ def estimate_arl(scheme: Scheme, source, reps: int, cap: int, seed: int,
     Censored replicates contribute the cap, so a heavily censored estimate
     (flagged) is a lower bound on the true ARL.
     """
-    if reps < 2:
-        raise ConfigError("need at least 2 replicates")
     lengths, censored = run_lengths(scheme, source, reps, cap, seed, K, threads)
     return RunEstimate.from_lengths(lengths, censored)
 
@@ -104,13 +108,15 @@ def estimate_arl(scheme: Scheme, source, reps: int, cap: int, seed: int,
 def calibrate_threshold(scheme: Scheme, source, gamma: float, *,
                         rel_tol: float = 0.05, reps_schedule: tuple[int, int] = (200, 1000),
                         seed: int = 0, cap: int | None = None, K: int | None = None,
-                        b0: float | None = None, max_doublings: int = 60,
                         threads: int = 1) -> CalibrationResult:
     """Find the threshold b whose ARL matches gamma within tolerance.
 
-    The scheme's own threshold is ignored; the returned CalibrationResult
-    carries the calibrated b and the final full-strength ARL estimate, which
-    satisfies |mean - gamma| <= max(rel_tol * gamma, 2 * std_error).
+    The scheme's own threshold is ignored.  The search brackets b by
+    doubling or halving from b = 1, at most MAX_DOUBLINGS times, then
+    bisects on log b.  The returned CalibrationResult carries the calibrated
+    b and the final full-strength ARL estimate, which satisfies
+    |mean - gamma| <= max(rel_tol * gamma, 2 * std_error).  CalibrationError
+    is raised when no bracket is found or the tolerance is not met.
     """
     if gamma < 1:
         raise ConfigError("gamma must be >= 1")
@@ -130,25 +136,24 @@ def calibrate_threshold(scheme: Scheme, source, gamma: float, *,
         return CalibrationResult(b=0.0, arl=arl_at(0.0, coarse_reps, 10), iterations=evals)
 
     # bracket on log b by doubling / halving
-    b = b0 if b0 and b0 > 0 else 1.0
-    est = arl_at(b, coarse_reps, coarse_cap)
-    lo = hi = b
+    lo = hi = 1.0
+    est = arl_at(hi, coarse_reps, coarse_cap)
     steps = 0
     if est.mean < gamma:
         while est.mean < gamma:
             lo = hi
             hi *= 2.0
             steps += 1
-            if steps > max_doublings:
-                raise CalibrationError(f"no bracket within {max_doublings} doublings")
+            if steps > MAX_DOUBLINGS:
+                raise CalibrationError(f"no bracket within {MAX_DOUBLINGS} doublings")
             est = arl_at(hi, coarse_reps, coarse_cap)
     else:
         while est.mean >= gamma:
             hi = lo
             lo /= 2.0
             steps += 1
-            if steps > max_doublings:
-                raise CalibrationError(f"no bracket within {max_doublings} halvings")
+            if steps > MAX_DOUBLINGS:
+                raise CalibrationError(f"no bracket within {MAX_DOUBLINGS} halvings")
             est = arl_at(lo, coarse_reps, coarse_cap)
 
     # bisect on log b, switching to full replicates once the bracket is tight

@@ -93,22 +93,35 @@ def _build_model(cfg, epsilon=None, theta0=None, theta1=None, sigma=None,
 
 def _build_scheme(section_cfg: dict[str, str], fam: NominalFamily,
                   alpha=None, d=None, b=None, fusion=None):
-    kind = section_cfg.get("kind", "lalpha")
+    """Scheme from a [scheme] section, with flags overriding its keys.
+
+    A key or flag that the chosen scheme never reads is a configuration error.
+    """
+    flags = {"alpha": alpha, "d": d, "b": b, "fusion": fusion}
+    keys = {**section_cfg, **{k: v for k, v in flags.items() if v is not None}}
+    kind = keys.pop("kind", "lalpha")
+    name = keys.pop("name", "")
     if kind == "lalpha":
-        a = alpha if alpha is not None else float(section_cfg.get("alpha", 0.0))
-        fus = fusion or section_cfg.get("fusion", "soft_threshold")
-        bb = b if b is not None else float(section_cfg.get("b", 0.0))
-        dd = d if d is not None else float(section_cfg.get("d", 0.0))
-        rule = FusionRule(kind=fus, b=bb, d=dd if fus == "soft_threshold" else 0.0)
-        return LAlphaScheme(params=LocalParams(alpha=a, fam=fam), rule=rule,
-                            name=section_cfg.get("name", ""))
-    if kind == "glr":
-        params = GlrParams(p0=float(section_cfg.get("p0", 0.1)),
-                           window=int(section_cfg.get("window", 200)),
-                           variant=section_cfg.get("variant", "xie_siegmund"))
-        return GlrScheme(params=params, b=float(section_cfg.get("b", 0.0)),
-                         fam=fam, name=section_cfg.get("name", ""))
-    raise ConfigError(f"unknown scheme kind {kind!r}")
+        variant = keys.get("fusion", "soft_threshold")
+        reads = {"alpha", "fusion", "b"} | ({"d"} if variant == "soft_threshold" else set())
+    elif kind == "glr":
+        variant = keys.get("variant", "xie_siegmund")
+        reads = {"p0", "variant", "b"} | ({"window"} if variant != "chan1" else set())
+    else:
+        raise ConfigError(f"unknown scheme kind {kind!r}")
+    unread = sorted(set(keys) - reads)
+    if unread:
+        what = "fusion" if kind == "lalpha" else "variant"
+        raise ConfigError(f"scheme key {', '.join(repr(k) for k in unread)} is not read "
+                          f"by kind {kind!r} with {what} {variant!r}")
+    b = float(keys.get("b", 0.0))
+    if kind == "lalpha":
+        rule = FusionRule(kind=variant, b=b, d=float(keys.get("d", 0.0)))
+        return LAlphaScheme(params=LocalParams(alpha=float(keys.get("alpha", 0.0)), fam=fam),
+                            rule=rule, name=name)
+    params = GlrParams(p0=float(keys.get("p0", 0.1)), window=int(keys.get("window", 200)),
+                       variant=variant)
+    return GlrScheme(params=params, b=b, fam=fam, name=name)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -151,17 +164,26 @@ _global = [
                  help="Master seed; identical seeds give identical output."),
     click.option("--output", type=click.Path(), default=None,
                  help="Output CSV path (default: stdout)."),
+]
+
+# only the commands that simulate run lengths take these
+_monte_carlo = [
     click.option("--threads", type=int, default=1, show_default=True,
                  help="Worker processes for Monte Carlo replicates."),
-    click.option("--reps", type=int, default=None,
-                 help="Monte Carlo replicates, where the command simulates."),
+    click.option("--reps", type=int, default=None, help="Monte Carlo replicates."),
 ]
 
 
-def _with_global(f):
-    for opt in reversed(_global):
-        f = opt(f)
-    return f
+def _with_options(options):
+    def decorate(f):
+        for opt in reversed(options):
+            f = opt(f)
+        return f
+    return decorate
+
+
+_with_global = _with_options(_global)
+_with_monte_carlo = _with_options(_global + _monte_carlo)
 
 
 @cli.command()
@@ -176,7 +198,7 @@ def _with_global(f):
 @click.option("--k", "k_streams", type=int, default=None, help="Streams.  [default: 100]")
 @click.option("--m", "m_streams", type=int, default=None,
               help="Affected streams.  [default: 10]")
-def tune(config_path, seed, output, threads, reps, epsilon, alpha_grid, samples,
+def tune(config_path, seed, output, epsilon, alpha_grid, samples,
          method, gamma, k_streams, m_streams):
     """Tuning curve over the alpha grid plus a summary line.
 
@@ -216,7 +238,7 @@ def tune(config_path, seed, output, threads, reps, epsilon, alpha_grid, samples,
 @click.option("--theta0", type=float, default=None)
 @click.option("--theta1", type=float, default=None)
 @click.option("--sigma", type=float, default=None)
-def breakdown_cmd(config_path, seed, output, threads, reps, alpha_grid,
+def breakdown_cmd(config_path, seed, output, alpha_grid,
                   theta0, theta1, sigma):
     """Breakdown-point curve: alpha, d_alpha, m_alpha, eps_star."""
     cfg = _load_config(config_path)
@@ -233,7 +255,7 @@ def breakdown_cmd(config_path, seed, output, threads, reps, alpha_grid,
 
 
 @cli.command()
-@_with_global
+@_with_monte_carlo
 @click.option("--gamma", type=float, default=None)
 @click.option("--alpha", type=float, default=None)
 @click.option("--d", type=float, default=None)
@@ -272,7 +294,7 @@ def _schemes_from_config(cfg, fam) -> list:
 
 
 @cli.command()
-@_with_global
+@_with_monte_carlo
 @click.option("--mode", type=click.Choice(["delay_table", "arl_vs_epsilon"]),
               default=None)
 def simulate(config_path, seed, output, threads, reps, mode):
@@ -335,7 +357,7 @@ def simulate(config_path, seed, output, threads, reps, mode):
               help="CSV stream; default: standard input.")
 @click.option("--stop-on-alarm/--no-stop-on-alarm", default=None,
               help="Stop after the first alarm.  [default: stop]")
-def monitor(config_path, seed, output, threads, reps, alpha, d, b, fusion,
+def monitor(config_path, seed, output, alpha, d, b, fusion,
             input_path, stop_on_alarm):
     """Stream monitoring: one 'n,global_stat,alarmed' line per input row.
 
@@ -371,7 +393,7 @@ def monitor(config_path, seed, output, threads, reps, alpha, d, b, fusion,
 
 
 @cli.command()
-@_with_global
+@_with_monte_carlo
 @click.option("--target-arl", type=float, default=None)
 @click.option("--p", "p_coeffs", type=int, default=None)
 @click.option("--pre-outlier", type=click.Choice(["fault1", "fault2"]), default=None)

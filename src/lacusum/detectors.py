@@ -65,13 +65,6 @@ def lalpha_increment(x, p: LocalParams):
     return c * (e1 - e0) / p.alpha
 
 
-def increment_lower_bound(p: LocalParams) -> float:
-    """Analytic lower bound of the increment (reached as f1 -> 0)."""
-    if p.alpha == 0.0:
-        return -math.inf
-    return -((SQRT_2PI * p.fam.sigma) ** (-p.alpha)) / p.alpha
-
-
 @dataclass(frozen=True)
 class FusionRule:
     """Global statistic and threshold.
@@ -357,30 +350,25 @@ def simulate_run_lengths(scheme: Scheme, sampler, reps: int, cap: int, seed: int
     return lengths, ~alarmed
 
 
-def run_to_alarm(scheme: Scheme, data: np.ndarray | None = None, *,
-                 sampler=None, cap: int | None = None, seed: int = 0) -> int | None:
-    """Smallest n at which the scheme alarms; None when censored.
+def run_to_alarm(scheme: Scheme, data: np.ndarray) -> int | None:
+    """Smallest n at which the scheme alarms on a (K, T) observation matrix;
+    None when it does not alarm within T steps.
 
-    Supply either a (K, T) observation matrix or a stream sampler.  The same
-    function serves false-alarm runs (no-change sampler) and delay runs
-    (change at time 1).  Non-finite data raises ConfigError.
+    The data go through the kernel in BLOCK-sized slices, so the work stops
+    with the block holding the first alarm.  Non-finite data anywhere in the
+    matrix raise ConfigError before any step is taken.
     """
-    if (data is None) == (sampler is None):
-        raise ConfigError("provide exactly one of data or sampler")
-    if data is not None:
-        data = np.asarray(data, dtype=float)
-        if data.ndim != 2:
-            raise ConfigError("data must be a (K, T) matrix")
-        K, T = data.shape
-        horizon = T if cap is None else min(cap, T)
-        _require_finite(data[:, :horizon], 1)
-        path = scheme.kernel(1, K).path(data[None, :, :horizon])
-        hit = first_hits(path, scheme.threshold)[0]
-        return int(hit) + 1 if hit >= 0 else None
-    if cap is None:
-        raise ConfigError("cap is required with a sampler")
-    lengths, censored = simulate_run_lengths(scheme, sampler, reps=1, cap=cap, seed=seed)
-    return None if censored[0] else int(lengths[0])
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2:
+        raise ConfigError("data must be a (K, T) matrix")
+    K, T = data.shape
+    _require_finite(data, 1)
+    kernel = scheme.kernel(1, K)
+    for t in range(0, T, BLOCK):
+        hit = first_hits(kernel.path(data[None, :, t:t + BLOCK]), scheme.threshold)[0]
+        if hit >= 0:
+            return t + int(hit) + 1
+    return None
 
 
 class StreamMonitor:

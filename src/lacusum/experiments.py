@@ -84,6 +84,8 @@ def run_delay_table(spec: ExperimentSpec) -> list[DelayRow]:
     The row parameter is the affected-stream count when scenarios share a
     post-change location, otherwise the post-change location.
     """
+    if spec.reps < 2:  # wrong for every cell, so not recorded as a cell error
+        raise ConfigError("need at least 2 replicates")
     thetas = {s.theta_post for s in spec.scenarios}
     by_theta = len(thetas) > 1
     rows = []

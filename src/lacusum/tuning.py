@@ -55,19 +55,6 @@ class QuadratureConfig:
         return cls(method="gauss_hermite_mixture", nodes=nodes, tolerance=tolerance)
 
 
-@dataclass(frozen=True)
-class TuningReport:
-    """Summary of one configuration's tuning quantities."""
-
-    lambda_: float
-    info: float
-    efficiency: float
-    alpha_oracle: float
-    d_opt: float
-    b_gamma: float
-    d_mode: str
-
-
 def _gh_points(n: int):
     t, w = roots_hermite(n)
     return t * math.sqrt(2.0), w / math.sqrt(math.pi)
@@ -226,18 +213,6 @@ def solve_lambda(epsilon: float, alpha: float, model: GrossErrorModel,
     return solve_mgf_root(y, w, tolerance=qc.tolerance)
 
 
-def efficiency_improvement(epsilon: float, alpha: float, model: GrossErrorModel,
-                           qc: QuadratureConfig | None = None) -> float:
-    """Relative gain of lambda*I at (eps, alpha) over the alpha = 0 baseline."""
-    qc = qc or QuadratureConfig()
-    if alpha == 0.0:
-        return 0.0
-    theta1 = model.nominal.theta1
-    num = solve_lambda(epsilon, alpha, model, qc) * info_number(theta1, epsilon, alpha, model, qc)
-    den = solve_lambda(epsilon, 0.0, model, qc) * info_number(theta1, epsilon, 0.0, model, qc)
-    return num / den - 1.0
-
-
 @dataclass(frozen=True)
 class GridRow:
     """One alpha grid point: root, info number, objective, efficiency."""
@@ -350,11 +325,6 @@ def b_gamma(lambda_: float, K: int, d: float, gamma: float) -> float:
             math.sqrt(K * math.exp(-lambda_ * d))) ** 2 / lambda_
 
 
-def delay_budget(lambda_: float, K: int, m: int, gamma: float, d: float) -> float:
-    """The convex objective b_gamma(d)/m + d minimized by the exact d_opt."""
-    return b_gamma(lambda_, K, d, gamma) / m + d
-
-
 def arl_lower_bound(lambda_: float, b: float, d: float, K: int) -> float | None:
     """Non-asymptotic ARL lower bound; None when its hypothesis fails.
 
@@ -367,17 +337,3 @@ def arl_lower_bound(lambda_: float, b: float, d: float, K: int) -> float | None:
         return None
     return 0.25 * math.exp((math.sqrt(lambda_ * b) - math.sqrt(tail)) ** 2)
 
-
-def tuning_report(epsilon: float, model: GrossErrorModel, K: int, m: int, gamma: float,
-                  alpha_max: float = 2.0, step: float = 0.01,
-                  qc: QuadratureConfig | None = None) -> TuningReport:
-    """Full tuning summary at the grid-oracle alpha."""
-    qc = qc or QuadratureConfig()
-    a_star = alpha_oracle(epsilon, model, alpha_max, step, qc)
-    lam = solve_lambda(epsilon, a_star, model, qc)
-    info = info_number(model.nominal.theta1, epsilon, a_star, model, qc)
-    eff = efficiency_improvement(epsilon, a_star, model, qc)
-    mode = "simplified" if math.log(gamma) <= K else "exact"
-    d = d_opt(lam, K, m, gamma, mode)
-    return TuningReport(lambda_=lam, info=info, efficiency=eff, alpha_oracle=a_star,
-                        d_opt=d, b_gamma=b_gamma(lam, K, d, gamma), d_mode=mode)

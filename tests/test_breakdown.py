@@ -22,11 +22,32 @@ from lacusum import (
     density_power_divergence,
     increment_sup,
     m_alpha,
+    nominal_pdf,
     simulate_run_lengths,
-    worst_case_drift,
 )
-from lacusum.breakdown import SupSearch, dpd_integrand, m_alpha_upper_bound
 from lacusum.calibration import calibrate_threshold
+from lacusum.models import SQRT_2PI
+
+
+def dpd_integrand(x, fam, alpha):
+    """Integrand of the density power divergence's definition."""
+    f1 = nominal_pdf(x, fam.theta1, fam)
+    f0 = nominal_pdf(x, fam.theta0, fam)
+    return f1 ** (1 + alpha) - (1 + 1 / alpha) * f0 * f1**alpha + (1 / alpha) * f0 ** (1 + alpha)
+
+
+def m_alpha_upper_bound(fam, alpha):
+    """Analytic bound 2 (2 pi sigma^2)^(-alpha/2) / alpha on the increment supremum."""
+    return 2.0 * (SQRT_2PI * fam.sigma) ** (-alpha) / alpha
+
+
+def worst_case_drift(fam, alpha, epsilon):
+    """Expected pre-change increment under the worst-case outlier distribution.
+
+    Negative below the breakdown point, positive above it.
+    """
+    r = breakdown_report(fam, alpha)
+    return -(1.0 - epsilon) / (1.0 + alpha) * r.d_alpha + epsilon * r.m_alpha
 
 
 class TestDivergence:

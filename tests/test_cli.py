@@ -153,6 +153,59 @@ class TestConfigKeysTakeEffect:
         assert flagged == self.run(capsys, tmp_path, command)
 
 
+class TestUnreadSchemeKeys:
+    """A [scheme] key or flag that the chosen scheme never reads exits 1 and is named."""
+
+    @pytest.mark.parametrize("scheme,flags,key", [
+        ({"kind": "glr", "alpha": "0.21"}, [], "alpha"),
+        ({"kind": "glr", "d": "0.5"}, [], "d"),
+        ({"kind": "glr", "fusion": "max"}, [], "fusion"),
+        ({"kind": "glr"}, ["--alpha", "0.21"], "alpha"),
+        ({"kind": "glr", "variant": "chan1", "window": "20"}, [], "window"),
+        ({"fusion": "max", "d": "0.5"}, [], "d"),
+        ({"fusion": "sum", "d": "0.5"}, [], "d"),
+        ({}, ["--fusion", "max", "--d", "2"], "d"),
+        ({"p0": "0.1"}, [], "p0"),
+        ({"window": "20"}, [], "window"),
+        ({"variant": "chan1"}, [], "variant"),
+    ], ids=["glr-alpha", "glr-d", "glr-fusion", "glr-alpha-flag", "chan1-window", "max-d",
+            "sum-d", "max-d-flag", "lalpha-p0", "lalpha-window", "lalpha-variant"])
+    def test_rejected(self, capsys, tmp_path, scheme, flags, key):
+        cfg = tmp_path / "scheme.ini"
+        cfg.write_text("[scheme]\nb = 3.0\n" + "".join(f"{k} = {v}\n" for k, v in scheme.items()))
+        code, _, err = run_cli(["monitor", "--config", str(cfg), *flags],
+                               stdin_text="0.1,0.2\n", capsys=capsys)
+        assert code == 1 and f"'{key}'" in err, err
+
+    def test_glr_keys_and_b_flag_are_read(self, capsys, tmp_path):
+        cfg = tmp_path / "glr.ini"
+        cfg.write_text("[scheme]\nkind = glr\nvariant = xie_siegmund\np0 = 0.2\nwindow = 5\n"
+                       "b = 1e9\nname = g\n")
+        code, out, err = run_cli(["monitor", "--config", str(cfg), "--b", "0"],
+                                 stdin_text="0.1,0.2\n0.3,0.4\n", capsys=capsys)
+        assert code == 0, err
+        lines = out.strip().splitlines()  # the flag's b = 0 alarms at once
+        assert len(lines) == 2 and lines[1].endswith(",1")
+
+
+class TestMonteCarloFlags:
+    @pytest.mark.parametrize("command", ["tune", "breakdown", "monitor"])
+    @pytest.mark.parametrize("flag", ["--reps", "--threads"])
+    def test_rejected_where_nothing_is_simulated(self, capsys, command, flag):
+        code, _, err = run_cli([command, flag, "7"], stdin_text="", capsys=capsys)
+        assert code == 1 and flag in err
+
+    @pytest.mark.parametrize("mode", ["delay_table", "arl_vs_epsilon"])
+    @pytest.mark.parametrize("reps", ["0", "1"])
+    def test_simulate_needs_two_replicates(self, capsys, tmp_path, mode, reps):
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text("[scenario]\nk = 3\n\n[simulate]\nm_grid = 2\neps_grid = 0.1\n"
+                       "cap = 500\n\n[scheme]\nalpha = 0.21\nb = 3.0\nd = 0.5\n")
+        code, _, err = run_cli(["simulate", "--config", str(cfg), "--mode", mode,
+                                "--reps", reps], capsys=capsys)
+        assert code == 1 and "config error" in err and "2 replicates" in err, err
+
+
 class TestConfigHandling:
     def test_unknown_key_named(self, capsys, tmp_path):
         cfg = tmp_path / "c.ini"

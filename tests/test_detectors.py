@@ -32,8 +32,8 @@ from lacusum.detectors import (
     _mix_log_term,
     glr_recursive_stat,
     glr_scan_stat,
-    increment_lower_bound,
 )
+from lacusum.models import SQRT_2PI
 
 
 def brute_force_cusum(llr_increments):
@@ -53,6 +53,11 @@ def u_plus(prefix_sums, k, n, i):
     if not 0 <= i < n:
         raise ValueError(f"need 0 <= i < n, got i={i}, n={n}")
     return max(0.0, float((prefix_sums[k, n] - prefix_sums[k, i]) / math.sqrt(n - i)))
+
+
+def increment_lower_bound(p):
+    """Analytic lower bound of the increment for alpha > 0, approached as f1 -> 0."""
+    return -((SQRT_2PI * p.fam.sigma) ** (-p.alpha)) / p.alpha
 
 
 def prefix_sums(X):
@@ -366,16 +371,45 @@ class TestRunToAlarm:
         assert run_to_alarm(scheme, data) is None
 
     def test_sampler_mode(self, fam, model01):
+        # a single delay run from a sampler is the engine with one replicate
         scheme = LAlphaScheme(LocalParams(0.21, fam), FusionRule.soft(1.0, 0.0))
         sampler = MixtureStreamSampler(model01, ChangeScenario.immediate(4, 4, 1.0))
-        n1 = run_to_alarm(scheme, sampler=sampler, cap=1000, seed=3)
-        n2 = run_to_alarm(scheme, sampler=sampler, cap=1000, seed=3)
-        assert n1 == n2 and n1 is not None
+        n1, censored1 = simulate_run_lengths(scheme, sampler, reps=1, cap=1000, seed=3)
+        n2, censored2 = simulate_run_lengths(scheme, sampler, reps=1, cap=1000, seed=3)
+        assert n1[0] == n2[0] and not censored1[0] and not censored2[0]
 
     def test_argument_validation(self, fam):
         scheme = LAlphaScheme(LocalParams(0.0, fam), FusionRule.soft(1.0, 0.0))
         with pytest.raises(ConfigError):
-            run_to_alarm(scheme)
+            run_to_alarm(scheme, np.ones(20))
+
+    @pytest.mark.parametrize("name", sorted(ALL_SCHEMES))
+    def test_first_hit_of_the_whole_path(self, fam, name):
+        # a drift that grows keeps setting records in every block; each record
+        # value, as the threshold, is first reached at that record's step
+        scheme = ALL_SCHEMES[name](fam)
+        T = 3 * detectors.BLOCK + 7
+        data = np.random.default_rng(5).normal(np.linspace(0.0, 1.5, T), 1.0, (4, T))
+        path = scheme.kernel(1, 4).path(data[None])[0]
+        records = np.flatnonzero(path > np.maximum.accumulate(np.r_[-np.inf, path[:-1]]))
+        assert records.max() >= 2 * detectors.BLOCK
+        for i in records:
+            assert run_to_alarm(scheme.with_threshold(path[i]), data) == i + 1
+        assert run_to_alarm(scheme.with_threshold(path.max() + 1.0), data) is None
+
+    @pytest.mark.parametrize("name", ["soft", "chan1"])
+    def test_stops_at_the_block_of_the_first_alarm(self, fam, monkeypatch, name):
+        columns = []
+        inner = detectors.lalpha_increment
+
+        def counted(x, p):
+            columns.append(np.shape(x)[-1])
+            return inner(x, p)
+
+        monkeypatch.setattr(detectors, "lalpha_increment", counted)
+        data = np.full((100, 20_000), 5.0)
+        assert run_to_alarm(ALL_SCHEMES[name](fam).with_threshold(0.0), data) == 1
+        assert sum(columns) <= detectors.BLOCK
 
 
 class TestEngine:

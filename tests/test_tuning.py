@@ -19,21 +19,24 @@ from lacusum import (
     arl_lower_bound,
     b_gamma,
     d_opt,
-    efficiency_improvement,
     info_number,
     info_number_closed_form,
     solve_lambda,
     solve_mgf_root,
     tuning_grid,
-    tuning_report,
 )
 from lacusum import tuning
-from lacusum.tuning import _increment_values, alpha_oracle, delay_budget
+from lacusum.tuning import _increment_values, alpha_oracle
 
 QUAD = QuadratureConfig.quadrature()
 
 # exact roots of the mixture MGF equation for eps=0.1, g = N(0, 3^2)
 LAMBDA_EXACT = {0.0: 0.4589, 0.21: 1.3792, 0.51: 2.4258}
+
+
+def delay_budget(lambda_, K, m, gamma, d):
+    """The convex objective b_gamma(d)/m + d minimized by the exact d_opt."""
+    return b_gamma(lambda_, K, d, gamma) / m + d
 
 
 class TestInfoNumber:
@@ -252,19 +255,23 @@ class TestNewtonSolver:
 
 class TestEfficiency:
     def test_baseline_is_zero(self, model01):
-        assert efficiency_improvement(0.1, 0.0, model01, QUAD) == 0.0
+        rows = tuning_grid(0.1, model01, alpha_max=0.2, step=0.1, qc=QUAD)
+        assert rows[0].alpha == 0.0 and rows[0].efficiency == 0.0
 
     def test_idealized_small_alpha_loss(self, model0):
         # about a 5% efficiency price at eps = 0
-        e = efficiency_improvement(0.0, 0.21, model0, QUAD)
-        assert e == pytest.approx(-0.057, abs=0.01)
+        rows = tuning_grid(0.0, model0, alpha_max=0.21, step=0.21, qc=QUAD)
+        assert rows[1].alpha == 0.21
+        assert rows[1].efficiency == pytest.approx(-0.057, abs=0.01)
 
     def test_idealized_decreasing_in_alpha(self, model0):
-        es = [efficiency_improvement(0.0, a, model0, QUAD) for a in (0.1, 0.3, 0.5)]
+        rows = tuning_grid(0.0, model0, alpha_max=0.5, step=0.1, qc=QUAD)
+        es = [r.efficiency for r in rows if r.alpha in (0.1, 0.3, 0.5)]
         assert es[0] > es[1] > es[2]
 
     def test_contaminated_gain_positive(self, model01):
-        assert efficiency_improvement(0.1, 0.21, model01, QUAD) > 0.5
+        rows = tuning_grid(0.1, model01, alpha_max=0.21, step=0.21, qc=QUAD)
+        assert rows[1].alpha == 0.21 and rows[1].efficiency > 0.5
 
 
 class TestAlphaOracle:
@@ -371,15 +378,3 @@ class TestQuadratureConfig:
         with pytest.raises(ConfigError):
             QuadratureConfig(method="simpson")
 
-
-class TestTuningReport:
-    def test_report_fields_consistent(self, model01):
-        qc = QuadratureConfig.monte_carlo(200_000, seed=3)
-        rep = tuning_report(0.1, model01, K=100, m=10, gamma=5000.0,
-                            alpha_max=0.6, step=0.05, qc=qc)
-        assert rep.lambda_ > 0
-        assert rep.info > 0
-        assert rep.d_mode == "simplified"
-        assert rep.d_opt == pytest.approx(math.log(10.0) / rep.lambda_, rel=1e-9)
-        assert rep.b_gamma > 0
-        assert 0.1 <= rep.alpha_oracle <= 0.4
