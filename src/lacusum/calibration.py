@@ -1,21 +1,24 @@
 """Monte Carlo run-length estimation and threshold calibration.
 
 A run estimate is the mean stopping time over independent replicates under
-the no-change regime, censored at a cap.  Calibration searches the global
-threshold b so that the estimated average run length meets a target gamma:
-stopping times are pathwise nondecreasing in b (identical sample paths,
-higher bar), so a bracket-and-bisect on log b converges cleanly.  Coarse
-replicate counts and a reduced cap steer the early iterations; the final
-iterations run at full strength.
+the no-change regime, censored at a cap.  Calibration finds the global
+threshold b at which the estimated average run length first reaches a
+target gamma.  A replicate's path does not depend on b, so its stopping
+time T(b) is the first step at which the path's running maximum reaches b,
+and the empirical ARL(b) = mean(min(T(b), cap)) is a nondecreasing step
+function of b.  Replicates are advanced until their running maximum reaches
+a rising bar, so one pass prices every b below the bar, and b is read off
+the final paths exactly: no trial threshold is simulated twice.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import Scheme, simulate_run_lengths
+from .detectors import Replicates, Scheme, simulate_run_lengths
 from .errors import CalibrationError, ConfigError
 from .models import ChangeScenario, GrossErrorModel, MixtureStreamSampler
 
@@ -23,9 +26,8 @@ from .models import ChangeScenario, GrossErrorModel, MixtureStreamSampler
 # worker count
 REP_BLOCK = 250
 
-# calibrate_threshold's bracket search gives up after this many doublings
-# (or halvings) of b
-MAX_DOUBLINGS = 60
+# one raise of the bar aims at no more than this many times the ARL reached
+BAR_GROWTH = 4.0
 
 
 @dataclass(frozen=True)
@@ -105,79 +107,129 @@ def estimate_arl(scheme: Scheme, source, reps: int, cap: int, seed: int,
     return RunEstimate.from_lengths(lengths, censored)
 
 
+def _advance(job):
+    paths, bar = job
+    paths.advance(bar)
+    return paths
+
+
+def _arl(chunks, b: float) -> float:
+    return float(np.mean(np.concatenate([c.run_lengths(b)[0] for c in chunks])))
+
+
+def _window(bar: float) -> float:
+    """Lower end of the stretch below bar that sets the slope of log ARL."""
+    return bar - 0.25 * max(abs(bar), 1.0)
+
+
+def _next_bar(chunks, bar: float, arl: float, gamma: float) -> float:
+    """Extrapolate log ARL linearly from the window below bar to gamma.
+
+    The aim is capped at BAR_GROWTH times the ARL at bar, and the raise at
+    the window's scale, so an underestimated slope cannot overshoot far.
+    """
+    lo = _window(bar)
+    slope = math.log(arl / _arl(chunks, lo)) / (bar - lo)
+    scale = max(abs(bar), 1.0)
+    step = math.log(min(gamma, BAR_GROWTH * arl) / arl) / slope if slope > 0 else scale
+    return bar + min(max(step, 1e-3 * scale), scale)
+
+
+def _root(chunks, gamma: float) -> float:
+    """Smallest b whose ARL on the chunks' paths reaches gamma: just above a record."""
+    parts = [c.jumps() for c in chunks]
+    values = np.concatenate([p[1] for p in parts])
+    order = np.argsort(values, kind="stable")
+    rises = np.concatenate([p[2] for p in parts])[order]
+    reps = sum(c.t.size for c in chunks)
+    arl = (sum(p[0] for p in parts) + np.cumsum(rises)) / reps
+    k = int(np.argmax(arl >= gamma))
+    if not gamma <= arl[k] < np.inf:
+        raise CalibrationError("the paths were not advanced past the ARL target")
+    return float(np.nextafter(values[order][k], np.inf))
+
+
+def _root_on_paths(scheme: Scheme, sampler, gamma: float, pilot: int, reps: int, cap: int,
+                   seed: int, threads: int) -> tuple[float, int, RunEstimate]:
+    """The root b on paths advanced to rising bars, the number of bars, and
+    the estimate at b read off the paths.
+
+    The first `pilot` replicates are advanced alone until their ARL at the
+    bar reaches gamma; their root is the first bar of the whole set.  Below
+    a bar whose ARL misses gamma on the whole set the root cannot lie, so
+    the records under that bar's slope window are dropped.  The paths are
+    freed on return, before the final estimate draws its own.
+    """
+    starts = [*range(0, pilot, REP_BLOCK), *range(pilot, reps, REP_BLOCK)]
+    chunks = [Replicates(scheme, sampler, end - start, cap, seed, start)
+              for start, end in zip(starts, starts[1:] + [reps])]
+    group, bar, bars = len(range(0, pilot, REP_BLOCK)), 1.0, 0
+    with ProcessPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        while True:
+            jobs = [(c, bar) for c in chunks[:group]]
+            chunks[:group] = pool.map(_advance, jobs) if pool else map(_advance, jobs)
+            bars += 1
+            arl = _arl(chunks[:group], bar)
+            if arl >= gamma and group == len(chunks):
+                break
+            if arl >= gamma:
+                bar, group = _root(chunks[:group], gamma), len(chunks)
+                continue
+            next_bar = _next_bar(chunks[:group], bar, arl, gamma)
+            if group == len(chunks):
+                for c in chunks:
+                    c.prune(_window(bar))
+            bar = next_bar
+    b = _root(chunks, gamma)
+    lengths, censored = (np.concatenate(parts)
+                         for parts in zip(*(c.run_lengths(b) for c in chunks)))
+    return b, bars, RunEstimate.from_lengths(lengths, censored)
+
+
 def calibrate_threshold(scheme: Scheme, source, gamma: float, *,
                         rel_tol: float = 0.05, reps_schedule: tuple[int, int] = (200, 1000),
                         seed: int = 0, cap: int | None = None, K: int | None = None,
                         threads: int = 1) -> CalibrationResult:
-    """Find the threshold b whose ARL matches gamma within tolerance.
+    """Smallest threshold b whose empirical ARL over reps_schedule[1] replicates
+    reaches gamma.
 
-    The scheme's own threshold is ignored.  The search brackets b by
-    doubling or halving from b = 1, at most MAX_DOUBLINGS times, then
-    bisects on log b.  The returned CalibrationResult carries the calibrated
-    b and the final full-strength ARL estimate, which satisfies
-    |mean - gamma| <= max(rel_tol * gamma, 2 * std_error).  CalibrationError
-    is raised when no bracket is found or the tolerance is not met.
+    The scheme's own threshold is ignored.  Replicates are advanced until
+    their running maximum reaches a bar, and the bar is raised, resuming only
+    the replicates still below it, until mean(min(T_bar, cap)) reaches gamma.
+    The first reps_schedule[0] replicates (the pilot) go first; their root is
+    the first bar of the whole set.  On the final paths ARL(b) is a step
+    function of b, and b is returned just above the record value at which it
+    first reaches gamma, so b depends only on the paths: never on the pilot
+    size, the bars or the worker count.
+
+    The result carries b, the number of bars the replicates were advanced
+    to (iterations), and a fresh full-strength estimate at b.  That estimate
+    must equal the one read off the paths and satisfy
+    |mean - gamma| <= max(rel_tol * gamma, 2 * std_error), or
+    CalibrationError is raised.  A cap below gamma is a ConfigError: a mean
+    censored at cap never reaches gamma.
     """
     if gamma < 1:
         raise ConfigError("gamma must be >= 1")
+    if min(reps_schedule) < 2:
+        raise ConfigError("need at least 2 replicates")
     sampler = _as_sampler(source, K)
-    coarse_reps, full_reps = reps_schedule
-    full_cap = cap if cap is not None else max(int(50 * gamma), 100)
-    coarse_cap = min(full_cap, max(int(6 * gamma), 100))
-    evals = 0
-
-    def arl_at(b: float, reps: int, run_cap: int) -> RunEstimate:
-        nonlocal evals
-        evals += 1
-        return estimate_arl(scheme.with_threshold(b), sampler, reps=reps,
-                            cap=run_cap, seed=seed, threads=threads)
-
-    if gamma == 1.0:
-        return CalibrationResult(b=0.0, arl=arl_at(0.0, coarse_reps, 10), iterations=evals)
-
-    # bracket on log b by doubling / halving
-    lo = hi = 1.0
-    est = arl_at(hi, coarse_reps, coarse_cap)
-    steps = 0
-    if est.mean < gamma:
-        while est.mean < gamma:
-            lo = hi
-            hi *= 2.0
-            steps += 1
-            if steps > MAX_DOUBLINGS:
-                raise CalibrationError(f"no bracket within {MAX_DOUBLINGS} doublings")
-            est = arl_at(hi, coarse_reps, coarse_cap)
-    else:
-        while est.mean >= gamma:
-            hi = lo
-            lo /= 2.0
-            steps += 1
-            if steps > MAX_DOUBLINGS:
-                raise CalibrationError(f"no bracket within {MAX_DOUBLINGS} halvings")
-            est = arl_at(lo, coarse_reps, coarse_cap)
-
-    # bisect on log b, switching to full replicates once the bracket is tight
-    final = None
-    for _ in range(60):
-        mid = math.sqrt(lo * hi)
-        wide = math.log(hi / lo) > 0.10
-        reps = coarse_reps if wide else full_reps
-        run_cap = coarse_cap if wide else full_cap
-        est = arl_at(mid, reps, run_cap)
-        if not wide and abs(est.mean - gamma) <= max(rel_tol * gamma, 2.0 * est.std_error):
-            final = CalibrationResult(b=mid, arl=est, iterations=evals)
-            break
-        if est.mean < gamma:
-            lo = mid
-        else:
-            hi = mid
-        if math.log(hi / lo) < 1e-4:
-            final = CalibrationResult(b=mid, arl=est, iterations=evals)
-            break
-    if final is None:
-        raise CalibrationError("bisection did not meet the calibration tolerance")
-    if abs(final.arl.mean - gamma) > max(rel_tol * gamma, 2.0 * final.arl.std_error):
+    pilot, reps = min(reps_schedule), reps_schedule[1]
+    cap = cap if cap is not None else max(int(50 * gamma), 100)
+    if cap < gamma:
+        raise ConfigError(f"cap {cap} is below gamma {gamma:g}: "
+                          "a mean censored at cap never reaches gamma")
+    b, bars, from_paths = 0.0, 0, None
+    if gamma > 1.0:
+        b, bars, from_paths = _root_on_paths(scheme, sampler, gamma, pilot, reps, cap, seed,
+                                             threads)
+    final = estimate_arl(scheme.with_threshold(b), sampler, reps=reps, cap=cap,
+                         seed=seed, threads=threads)
+    if from_paths is not None and final != from_paths:
+        raise CalibrationError(f"the estimate at b = {b!r} differs from its paths: "
+                               f"{final} against {from_paths}")
+    if abs(final.mean - gamma) > max(rel_tol * gamma, 2.0 * final.std_error):
         raise CalibrationError(
-            f"calibrated ARL {final.arl.mean:.1f} misses gamma {gamma:.1f} "
-            f"beyond tolerance (se {final.arl.std_error:.2f})")
-    return final
+            f"calibrated ARL {final.mean:.1f} misses gamma {gamma:.1f} "
+            f"beyond tolerance (se {final.std_error:.2f})")
+    return CalibrationResult(b=b, arl=final, iterations=bars)

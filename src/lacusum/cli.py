@@ -30,9 +30,9 @@ _KNOWN_KEYS = {
     "scheme": {"alpha", "d", "b", "fusion", "p0", "window", "variant", "kind", "name"},
     "tune": {"alpha_grid", "samples", "method", "gamma", "k", "m"},
     "breakdown": {"alpha_grid"},
-    "calibrate": {"gamma", "reps", "rel_tol"},
+    "calibrate": {"gamma", "reps"},
     "simulate": {"mode", "m_grid", "theta_grid", "eps_grid", "reps", "gamma", "cap"},
-    "casestudy": {"target_arl", "reps", "p", "length", "counts", "pre_outlier",
+    "casestudy": {"target_arl", "reps", "cap", "p", "length", "counts", "pre_outlier",
                   "fault1_magnitude", "fault2_magnitude", "noise_sd"},
     "monitor": {"stop_on_alarm"},
 }
@@ -160,10 +160,14 @@ def cli():
 _global = [
     click.option("--config", "config_path", type=click.Path(), default=None,
                  help="INI config file; flags override file keys."),
-    click.option("--seed", type=int, default=0, show_default=True,
-                 help="Master seed; identical seeds give identical output."),
     click.option("--output", type=click.Path(), default=None,
                  help="Output CSV path (default: stdout)."),
+]
+
+# only the commands that draw random numbers take a seed
+_seeded = [
+    click.option("--seed", type=int, default=0, show_default=True,
+                 help="Master seed; identical seeds give identical output."),
 ]
 
 # only the commands that simulate run lengths take these
@@ -183,11 +187,12 @@ def _with_options(options):
 
 
 _with_global = _with_options(_global)
-_with_monte_carlo = _with_options(_global + _monte_carlo)
+_with_seed = _with_options(_global + _seeded)
+_with_monte_carlo = _with_options(_global + _seeded + _monte_carlo)
 
 
 @cli.command()
-@_with_global
+@_with_seed
 @click.option("--epsilon", type=float, default=None, help="Contamination ratio.")
 @click.option("--alpha-grid", default=None, help="Alpha grid.  [default: 0:0.01:2]")
 @click.option("--samples", type=int, default=None,
@@ -238,7 +243,7 @@ def tune(config_path, seed, output, epsilon, alpha_grid, samples,
 @click.option("--theta0", type=float, default=None)
 @click.option("--theta1", type=float, default=None)
 @click.option("--sigma", type=float, default=None)
-def breakdown_cmd(config_path, seed, output, alpha_grid,
+def breakdown_cmd(config_path, output, alpha_grid,
                   theta0, theta1, sigma):
     """Breakdown-point curve: alpha, d_alpha, m_alpha, eps_star."""
     cfg = _load_config(config_path)
@@ -263,20 +268,23 @@ def breakdown_cmd(config_path, seed, output, alpha_grid,
               default=None)
 @click.option("--epsilon", type=float, default=None)
 @click.option("--k", "k_streams", type=int, default=None)
-@click.option("--rel-tol", type=float, default=None,
-              help="Relative ARL tolerance.  [default: 0.05]")
 def calibrate(config_path, seed, output, threads, reps, gamma, alpha, d, fusion,
-              epsilon, k_streams, rel_tol):
-    """Bisect the global threshold b to meet the ARL target gamma."""
+              epsilon, k_streams):
+    """Smallest global threshold b whose simulated ARL reaches gamma.
+
+    Replicates are advanced until their running maximum reaches a rising bar,
+    resuming only those below it, and b is read off the paths; iterations
+    counts the bars.  CSV columns: b, arl_mean, arl_se, reps, censored,
+    iterations.
+    """
     cfg = _load_config(config_path)
     model = _build_model(cfg, epsilon=epsilon)
     gamma = _merged(cfg, "calibrate", "gamma", gamma)
     reps = int(_merged(cfg, "calibrate", "reps", reps, 1000))
-    rel_tol = _merged(cfg, "calibrate", "rel_tol", rel_tol, 0.05)
     K = int(_merged(cfg, "scenario", "k", k_streams, 100))
     scheme = _build_scheme(cfg.get("scheme", {}), model.nominal,
                            alpha=alpha, d=d, b=1.0, fusion=fusion)
-    result = calibrate_threshold(scheme, model, gamma, rel_tol=rel_tol,
+    result = calibrate_threshold(scheme, model, gamma,
                                  reps_schedule=(max(50, reps // 5), reps),
                                  seed=seed, K=K, threads=threads)
     with _open_output(output) as writer:
@@ -284,7 +292,7 @@ def calibrate(config_path, seed, output, threads, reps, gamma, alpha, d, fusion,
         writer.writerow([result.b, result.arl.mean, result.arl.std_error,
                          result.arl.reps, result.arl.censored, result.iterations])
     _echo_err(f"calibrated b={result.b:.6g}  ARL={result.arl.mean:.1f} "
-              f"(se {result.arl.std_error:.2f}, {result.iterations} evaluations)")
+              f"(se {result.arl.std_error:.2f}, {result.iterations} bars)")
 
 
 def _schemes_from_config(cfg, fam) -> list:
@@ -357,7 +365,7 @@ def simulate(config_path, seed, output, threads, reps, mode):
               help="CSV stream; default: standard input.")
 @click.option("--stop-on-alarm/--no-stop-on-alarm", default=None,
               help="Stop after the first alarm.  [default: stop]")
-def monitor(config_path, seed, output, alpha, d, b, fusion,
+def monitor(config_path, output, alpha, d, b, fusion,
             input_path, stop_on_alarm):
     """Stream monitoring: one 'n,global_stat,alarmed' line per input row.
 
@@ -413,6 +421,7 @@ def casestudy(config_path, seed, output, threads, reps, target_arl, p_coeffs,
     cfg = _load_config(config_path)
     target_arl = _merged(cfg, "casestudy", "target_arl", target_arl, 300.0)
     reps = int(_merged(cfg, "casestudy", "reps", reps, 100))
+    cap = int(_merged(cfg, "casestudy", "cap", None, 20 * target_arl))
     pre_outlier = _merged(cfg, "casestudy", "pre_outlier", pre_outlier, "fault1", str)
     if pool_dir is not None:
         pool = profiles.load_pool(pool_dir)
@@ -437,7 +446,7 @@ def casestudy(config_path, seed, output, threads, reps, target_arl, p_coeffs,
         LAlphaScheme(LocalParams(0.0, fam), FusionRule.soft(1.0, 3.9357), "cusum"),
     ]
     rows = profiles.case_study_run(pool, schemes, target_arl, p=p, reps=reps,
-                                   seed=seed, pre_outlier=pre_outlier,
+                                   seed=seed, pre_outlier=pre_outlier, cap=cap,
                                    threads=threads)
     with _open_output(output) as writer:
         writer.writerow(["scheme", "b", "arl_mean", "arl_se", "delay_mean", "delay_se",

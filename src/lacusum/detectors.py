@@ -60,9 +60,19 @@ def lalpha_increment(x, p: LocalParams):
         return (fam.theta1 - fam.theta0) * (x - mid) / fam.sigma**2
     c = (SQRT_2PI * fam.sigma) ** (-p.alpha)
     a2 = p.alpha / (2.0 * fam.sigma**2)
-    e1 = np.exp(-a2 * (x - fam.theta1) ** 2)
-    e0 = np.exp(-a2 * (x - fam.theta0) ** 2)
-    return c * (e1 - e0) / p.alpha
+    # c * (exp(-a2 * (x - theta1)**2) - exp(-a2 * (x - theta0)**2)) / alpha, operation
+    # for operation but in place, so that the increment of an engine block takes two
+    # arrays of the block's size where the expression took four at once
+    e1 = np.subtract(x, fam.theta1, out=np.empty_like(x))
+    e0 = np.subtract(x, fam.theta0, out=np.empty_like(x))
+    for e in (e1, e0):
+        np.square(e, out=e)
+        np.multiply(e, -a2, out=e)
+        np.exp(e, out=e)
+    np.subtract(e1, e0, out=e1)
+    np.multiply(e1, c, out=e1)
+    np.divide(e1, p.alpha, out=e1)
+    return e1[()]
 
 
 @dataclass(frozen=True)
@@ -253,17 +263,22 @@ class CusumBank:
             return w.sum(axis=-1)
         return glr_recursive_stat(w, self.p0)
 
-    def path(self, X: np.ndarray) -> np.ndarray:
-        """Global statistic after each step of a (rows, K, B) block, shape (rows, B)."""
+    def path(self, X: np.ndarray, rows=None) -> np.ndarray:
+        """Global statistic after each step of a (n, K, B) block, shape (n, B).
+
+        The block feeds the given rows (every row when None), in that order.
+        """
         inc = lalpha_increment(X, self.local)
+        w = self.w if rows is None else self.w[rows]
         out = np.empty((X.shape[0], X.shape[2]))
         for s in range(X.shape[2]):
-            self.w = np.maximum(self.w + inc[:, :, s], 0.0)
-            out[:, s] = self._fuse(self.w)
+            w = np.maximum(w + inc[:, :, s], 0.0)
+            out[:, s] = self._fuse(w)
+        # written back in place: state that outlives a block keeps the address
+        # it was given before the block's large temporaries, so freeing those
+        # leaves the heap unfragmented
+        self.w[slice(None) if rows is None else rows] = w
         return out
-
-    def filter(self, keep: np.ndarray):
-        self.w = self.w[keep]
 
 
 class WindowGlr:
@@ -273,20 +288,32 @@ class WindowGlr:
         self.p0 = params.p0
         self.coef = 1.0 if params.variant == GLR_XS else CHAN2_COEF
         self.buf = np.zeros((rows, K, params.window))
-        self.filled = 0
+        self.filled = np.zeros(rows, dtype=np.int64)  # observations seen, up to the window
 
-    def path(self, X: np.ndarray) -> np.ndarray:
-        """Global statistic after each step of a (rows, K, B) block, shape (rows, B)."""
+    def path(self, X: np.ndarray, rows=None) -> np.ndarray:
+        """Global statistic after each step of a (n, K, B) block, shape (n, B).
+
+        The block feeds the given rows (every row when None), in that order.
+        Rows that have seen different numbers of observations scan only
+        their own filled part of the window.
+        """
+        buf = self.buf if rows is None else self.buf[rows]
+        filled = self.filled if rows is None else self.filled[rows]
         out = np.empty((X.shape[0], X.shape[2]))
         for s in range(X.shape[2]):
-            self.buf[:, :, :-1] = self.buf[:, :, 1:]
-            self.buf[:, :, -1] = X[:, :, s]
-            self.filled = min(self.filled + 1, self.buf.shape[2])
-            out[:, s] = glr_scan_stat(self.buf[:, :, -self.filled:], self.p0, self.coef)
+            buf[:, :, :-1] = buf[:, :, 1:]
+            buf[:, :, -1] = X[:, :, s]
+            filled = np.minimum(filled + 1, buf.shape[2])
+            if filled.min() == filled.max():
+                out[:, s] = glr_scan_stat(buf[:, :, -filled[0]:], self.p0, self.coef)
+                continue
+            for f in np.unique(filled):
+                same = filled == f
+                out[same, s] = glr_scan_stat(buf[same][:, :, -f:], self.p0, self.coef)
+        if rows is not None:  # with every row, buf is the state itself
+            self.buf[rows] = buf
+        self.filled[slice(None) if rows is None else rows] = filled
         return out
-
-    def filter(self, keep: np.ndarray):
-        self.buf = self.buf[keep]
 
 
 def first_hits(path: np.ndarray, b: float) -> np.ndarray:
@@ -306,7 +333,7 @@ def _require_finite(X: np.ndarray, first_step: int):
 
 
 # ---------------------------------------------------------------------------
-# Batch engine: many replicates advance in lock step, each with its own RNG
+# Batch engine: many replicates advance block by block, each with its own RNG
 # ---------------------------------------------------------------------------
 
 def _replicate_rngs(seed: int, start: int, count: int):
@@ -314,40 +341,114 @@ def _replicate_rngs(seed: int, start: int, count: int):
             for i in range(count)]
 
 
+class Replicates:
+    """Resumable sample paths of replicates rep_offset .. rep_offset + reps - 1.
+
+    Row i draws from its own generator, keyed by (seed, rep_offset + i), in
+    fixed blocks of BLOCK steps (the last one cut short at cap), so its path
+    never depends on a threshold, on the other rows or on how often the rows
+    were resumed.  Per row the set keeps the generator, the kernel state, the
+    time t reached and the records of the running maximum of the global
+    statistic: each step at which the statistic exceeds every earlier value,
+    with that value.  The run length at threshold b is the step of the first
+    record >= b, so one advance to a bar answers every b up to the bar.
+    """
+
+    def __init__(self, scheme: Scheme, sampler, reps: int, cap: int, seed: int,
+                 rep_offset: int = 0):
+        if cap < 1:
+            raise ConfigError(f"cap must be >= 1, got {cap}")
+        self.sampler, self.cap = sampler, cap
+        self.rngs = _replicate_rngs(seed, rep_offset, reps)
+        self.kernel = scheme.kernel(reps, sampler.K)
+        self.t = np.zeros(reps, dtype=np.int64)
+        self.top = np.full(reps, -np.inf)
+        # (row, step, value) arrays, one triple per block; time-ordered per row
+        self.records = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+
+    def advance(self, bar: float):
+        """Draw blocks for every row below bar until it reaches bar or the cap."""
+        K, reps = self.sampler.K, self.t.size
+        rows = np.flatnonzero((self.top < bar) & (self.t < self.cap))
+        while rows.size:
+            t = self.t[rows]
+            width = np.minimum(self.cap - t, BLOCK)
+            # a row in its last block, cut short at cap, may run beside rows in
+            # a full block: its block is padded, and the padded steps ignored
+            B = int(width.max())
+            X = np.zeros((rows.size, K, B))
+            for j, (i, t0, n) in enumerate(zip(rows.tolist(), t.tolist(), width.tolist())):
+                X[j, :, :n] = self.sampler.draw(self.rngs[i], t0, n)
+            path = self.kernel.path(X, None if rows.size == reps else rows)
+            path[np.arange(B) >= width[:, None]] = -np.inf
+            prev = np.maximum.accumulate(
+                np.concatenate([self.top[rows, None], path[:, :-1]], axis=1), axis=1)
+            r, s = np.nonzero(path > prev)
+            self.records.append((rows[r], t[r] + s + 1, path[r, s]))
+            self.top[rows] = np.maximum(prev[:, -1], path[:, -1])
+            self.t[rows] = t + width
+            rows = rows[(self.top[rows] < bar) & (self.t[rows] < self.cap)]
+
+    def _flat(self):
+        """The records as one (rows, steps, values) triple."""
+        if len(self.records) > 1:
+            self.records = [tuple(np.concatenate(col) for col in zip(*self.records))]
+        return self.records[0]
+
+    def run_lengths(self, b: float) -> tuple[np.ndarray, np.ndarray]:
+        """(lengths, censored) at threshold b, for b no higher than the bar reached.
+
+        Censored rows report length == cap.
+        """
+        rows, steps, values = self._flat()
+        hit = values >= b
+        lengths = np.full(self.t.size, self.cap, dtype=np.int64)
+        np.minimum.at(lengths, rows[hit], steps[hit])
+        censored = np.ones(self.t.size, dtype=bool)
+        censored[rows[hit]] = False
+        if np.any(censored & (self.t < self.cap)):
+            raise ValueError(f"rows were not advanced to b = {b}")
+        return lengths, censored
+
+    def prune(self, floor: float):
+        """Drop the records below floor; run lengths stay known for every b >= floor."""
+        rows, steps, values = self._flat()
+        keep = values >= floor
+        self.records = [(rows[keep], steps[keep], values[keep])]
+
+    def jumps(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """How the sum of run lengths grows with the threshold: (base, values, rises).
+
+        At a threshold no higher than every kept record the sum is base; a
+        threshold above a record's value adds that record's rise, the steps
+        from it to the row's next record (or to cap).  The rise past a row's
+        last record is unknown (inf) unless the row reached cap.
+        """
+        rows, steps, values = self._flat()
+        order = np.argsort(rows, kind="stable")
+        rows, steps, values = rows[order], steps[order], values[order]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        last = np.ones(rows.size, dtype=bool)
+        last[:-1] = first[1:]
+        after = np.append(steps[1:], 0).astype(float)
+        after[last] = np.where(self.t[rows[last]] >= self.cap, self.cap, np.inf)
+        bare = self.t.size - np.count_nonzero(first)  # censored rows with no record kept
+        return int(steps[first].sum()) + bare * self.cap, values, after - steps
+
+
 def simulate_run_lengths(scheme: Scheme, sampler, reps: int, cap: int, seed: int,
                          rep_offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Stopping times of `reps` independent replicates, censored at cap.
 
     Returns (lengths, censored): censored replicates report length == cap.
-    Replicate i draws from a private generator keyed by (seed, rep_offset + i),
-    in fixed blocks, so its path never depends on thresholds or on the other
-    replicates.
+    The replicates are advanced to the scheme's threshold and their lengths
+    read off the first hits, so a replicate's length never depends on
+    thresholds or on the other replicates.
     """
-    if cap < 1:
-        raise ConfigError(f"cap must be >= 1, got {cap}")
-    K = sampler.K
-    lengths = np.full(reps, cap, dtype=np.int64)
-    alarmed = np.zeros(reps, dtype=bool)
-    rngs = _replicate_rngs(seed, rep_offset, reps)
-    active = np.arange(reps)
-    kernel = scheme.kernel(reps, K)
-    t = 0
-    while active.size and t < cap:
-        B = min(BLOCK, cap - t)
-        X = np.empty((active.size, K, B))
-        for row, i in enumerate(active):
-            X[row] = sampler.draw(rngs[i], t, B)
-        hits = first_hits(kernel.path(X), scheme.threshold)
-        done = hits >= 0
-        if done.any():
-            stopped = active[done]
-            lengths[stopped] = t + hits[done] + 1
-            alarmed[stopped] = True
-            keep = ~done
-            active = active[keep]
-            kernel.filter(keep)
-        t += B
-    return lengths, ~alarmed
+    paths = Replicates(scheme, sampler, reps, cap, seed, rep_offset)
+    paths.advance(scheme.threshold)
+    return paths.run_lengths(scheme.threshold)
 
 
 def run_to_alarm(scheme: Scheme, data: np.ndarray) -> int | None:

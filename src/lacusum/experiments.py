@@ -84,8 +84,11 @@ def run_delay_table(spec: ExperimentSpec) -> list[DelayRow]:
     The row parameter is the affected-stream count when scenarios share a
     post-change location, otherwise the post-change location.
     """
-    if spec.reps < 2:  # wrong for every cell, so not recorded as a cell error
+    # wrong for every cell, so not recorded as a cell error
+    if spec.reps < 2:
         raise ConfigError("need at least 2 replicates")
+    if spec.cap < 1:
+        raise ConfigError(f"cap must be >= 1, got {spec.cap}")
     thetas = {s.theta_post for s in spec.scenarios}
     by_theta = len(thetas) > 1
     rows = []

@@ -103,6 +103,68 @@ class TestCalibrate:
             calibrate_threshold(soft_scheme(fam, 0.21, 1.0, 0.0), model01,
                                 gamma=0.5, seed=0, K=2)
 
+    def test_cap_below_gamma_rejected_before_simulating(self, fam, model01):
+        # a mean censored at cap can never reach gamma
+        sampler = CountingSampler(MixtureStreamSampler(model01, ChangeScenario.no_change(2)))
+        with pytest.raises(ConfigError, match="cap"):
+            calibrate_threshold(soft_scheme(fam, 0.21, 1.0, 0.0), sampler,
+                                gamma=100.0, seed=0, cap=99)
+        assert sampler.obs == 0
+
+
+class CountingSampler:
+    """A stream sampler that counts the observations it draws."""
+
+    def __init__(self, inner):
+        self.inner, self.obs = inner, 0
+
+    @property
+    def K(self):
+        return self.inner.K
+
+    def draw(self, rng, t0, n):
+        block = self.inner.draw(rng, t0, n)
+        self.obs += block.size
+        return block
+
+
+class TestExactRoot:
+    """b is the first jump of the step function ARL(b) on fixed paths."""
+
+    KW = dict(gamma=100.0, seed=5, K=5)
+
+    def test_same_result_for_any_worker_count(self, fam, model01):
+        scheme = soft_scheme(fam, 0.21, 1.0, 0.5)
+        serial = calibrate_threshold(scheme, model01, reps_schedule=(100, 600), **self.KW)
+        parallel = calibrate_threshold(scheme, model01, reps_schedule=(100, 600),
+                                       threads=2, **self.KW)
+        assert serial == parallel
+
+    def test_b_does_not_depend_on_the_pilot(self, fam, model01):
+        scheme = soft_scheme(fam, 0.21, 1.0, 0.5)
+        results = [calibrate_threshold(scheme, model01, reps_schedule=(pilot, 300), **self.KW)
+                   for pilot in (50, 100, 300)]
+        assert len({r.b for r in results}) == 1
+        assert len({r.arl for r in results}) == 1
+
+    def test_b_is_the_first_jump_reaching_gamma(self, fam, model01):
+        scheme = soft_scheme(fam, 0.21, 1.0, 0.5)
+        res = calibrate_threshold(scheme, model01, reps_schedule=(100, 300), **self.KW)
+        sampler = MixtureStreamSampler(model01, ChangeScenario.no_change(5))
+        at_b, _ = run_lengths(scheme.with_threshold(res.b), sampler, 300, 5000, 5)
+        below, _ = run_lengths(scheme.with_threshold(np.nextafter(res.b, 0.0)), sampler,
+                               300, 5000, 5)
+        assert at_b.mean() == res.arl.mean >= 100.0 > below.mean()
+
+    def test_draws_at_most_half_of_the_bisection(self, fam, model01):
+        # the benchmark's calibration: bracket-and-bisect drew 923,652 steps of
+        # K = 100 observations at this seed
+        sampler = CountingSampler(MixtureStreamSampler(model01, ChangeScenario.no_change(100)))
+        res = calibrate_threshold(soft_scheme(fam, 0.21, 1.0, 1.6831), sampler, 150.0,
+                                  reps_schedule=(200, 1000), seed=11)
+        assert abs(res.arl.mean - 150.0) <= max(0.05 * 150.0, 2 * res.arl.std_error)
+        assert sampler.obs <= 0.5 * 923_652 * 100
+
 
 class TestArlBoundConsistency:
     def test_bound_holds_for_calibrated_scheme(self, fam, model01):

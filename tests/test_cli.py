@@ -32,10 +32,10 @@ class TestBreakdownCommand:
         assert float(first[0]) == 0.0 and float(first[3]) == 0.0
         assert "alpha_opt" in err
 
-    def test_seed_determinism(self, capsys):
-        a = run_cli(["breakdown", "--alpha-grid", "0:0.2:1", "--seed", "3"], capsys=capsys)
-        b = run_cli(["breakdown", "--alpha-grid", "0:0.2:1", "--seed", "3"], capsys=capsys)
-        assert a == b
+    @pytest.mark.parametrize("command", ["breakdown", "monitor"])
+    def test_seed_rejected_where_nothing_is_drawn(self, capsys, command):
+        code, _, err = run_cli([command, "--seed", "3"], stdin_text="", capsys=capsys)
+        assert code == 1 and "--seed" in err
 
 
 class TestTuneCommand:
@@ -100,6 +100,8 @@ class TestConfigKeysTakeEffect:
 
     The one known-inert key is [simulate] gamma: it is accepted and feeds
     ExperimentSpec.gamma, which no delay-table computation reads yet.
+    [calibrate] rel_tol is rejected: calibration returns the exact root on its
+    paths, so the tolerance no longer changes the result.
     """
 
     MONITOR_STREAM = "x1,x2\n0.4,0.2\n2.0,1.8\n2.2,2.4\n2.1,2.2\n"
@@ -127,7 +129,7 @@ class TestConfigKeysTakeEffect:
                        stdin_text=self.MONITOR_STREAM, capsys=capsys)
 
     @pytest.mark.parametrize("command,section,key,value,effect", [
-        ("calibrate", "calibrate", "rel_tol", "0.3", "changes"),
+        ("calibrate", "calibrate", "rel_tol", "0.3", "rejected"),
         ("monitor", "monitor", "stop_on_alarm", "false", "changes"),
         ("calibrate", "scenario", "m", "10", "rejected"),
         ("calibrate", "scenario", "nu", "1", "rejected"),
@@ -145,7 +147,6 @@ class TestConfigKeysTakeEffect:
         assert (out != base[1]) == (effect == "changes")
 
     @pytest.mark.parametrize("command,section,key,value,flag", [
-        ("calibrate", "calibrate", "rel_tol", "0.3", "--rel-tol=0.05"),
         ("monitor", "monitor", "stop_on_alarm", "false", "--stop-on-alarm"),
     ])
     def test_flag_beats_config(self, capsys, tmp_path, command, section, key, value, flag):
@@ -204,6 +205,17 @@ class TestMonteCarloFlags:
         code, _, err = run_cli(["simulate", "--config", str(cfg), "--mode", mode,
                                 "--reps", reps], capsys=capsys)
         assert code == 1 and "config error" in err and "2 replicates" in err, err
+
+    @pytest.mark.parametrize("mode", ["delay_table", "arl_vs_epsilon"])
+    def test_simulate_cap_below_one(self, capsys, tmp_path, mode):
+        # wrong for every cell, so not written into each row of the table
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text("[scenario]\nk = 3\n\n[simulate]\nm_grid = 1,2\neps_grid = 0.1\n"
+                       "cap = 0\nreps = 20\n\n[scheme]\nalpha = 0.21\nb = 3.0\nd = 0.5\n")
+        code, out, err = run_cli(["simulate", "--config", str(cfg), "--mode", mode],
+                                 capsys=capsys)
+        assert code == 1 and "cap must be >= 1" in err, err
+        assert len(out.strip().splitlines()) <= 1  # at most the header
 
 
 class TestConfigHandling:
@@ -293,6 +305,11 @@ class TestCalibrateCommand:
         assert b > 0 and abs(arl - 30) < 10
         assert "calibrated b" in err
 
+    def test_rel_tol_flag_rejected(self, capsys):
+        code, _, err = run_cli(["calibrate", "--gamma", "30", "--rel-tol", "0.1"],
+                               capsys=capsys)
+        assert code == 1 and "--rel-tol" in err
+
 
 class TestSimulateCommand:
     def test_delay_table(self, capsys, tmp_path):
@@ -338,6 +355,21 @@ class TestCaseStudyCommand:
         assert fields[0] == "robust"
         assert float(fields[4]) >= 1.0  # delay mean
 
+    @pytest.mark.parametrize("cap", ["39", "60"])
+    def test_cap(self, capsys, tmp_path, cap):
+        cfg = tmp_path / "cs.ini"
+        text = ("[casestudy]\nlength = 256\ncounts = 60,20,20\n"
+                "target_arl = 40\nreps = 40\np = 64\n\n"
+                "[scheme:r]\nalpha = 0.21\nd = 1.5\nname = robust\n")
+        cfg.write_text(text)
+        base = run_cli(["casestudy", "--config", str(cfg)], capsys=capsys)
+        cfg.write_text(text.replace("p = 64", f"p = 64\ncap = {cap}"))
+        code, out, err = run_cli(["casestudy", "--config", str(cfg)], capsys=capsys)
+        if cap == "39":  # below target_arl: a censored mean can never reach it
+            assert code == 1 and "cap 39 is below gamma 40" in err, err
+        else:
+            assert code == base[0] == 0 and out != base[1], err
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "out.csv"
         code, out, _ = run_cli(["breakdown", "--alpha-grid", "0:0.5:1",
@@ -353,4 +385,6 @@ class TestHelp:
     def test_help_lists_defaults(self, capsys, cmd):
         code, out, _ = run_cli([cmd, "--help"], capsys=capsys)
         assert code == 0
-        assert "--seed" in out and "--config" in out
+        assert "--config" in out
+        # only the commands that draw random numbers take a seed
+        assert ("--seed" in out) == (cmd not in ("breakdown", "monitor"))

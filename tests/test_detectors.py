@@ -575,3 +575,84 @@ class TestNonFiniteInput:
         data[2, 17] = np.nan
         with pytest.raises(ConfigError, match=r"step 18, column 3"):
             run_to_alarm(ALL_SCHEMES[name](fam), data)
+
+
+def lockstep_run_lengths(scheme, sampler, reps, cap, seed, b):
+    """Reference engine: every replicate runs its whole path to cap in lock step,
+    in the engine's fixed blocks, and its length is the first step at or above b."""
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed, i))) for i in range(reps)]
+    kernel = scheme.kernel(reps, sampler.K)
+    path = np.hstack([kernel.path(np.stack([sampler.draw(r, t, min(detectors.BLOCK, cap - t))
+                                            for r in rngs]))
+                      for t in range(0, cap, detectors.BLOCK)])
+    hit = path >= b
+    alarmed = hit.any(axis=1)
+    return np.where(alarmed, hit.argmax(axis=1) + 1, cap), ~alarmed
+
+
+class TestReplicates:
+    """Run lengths read off resumable paths equal the engine's at every fixed b."""
+
+    CAP = 2 * detectors.BLOCK + 37  # the last block is cut short
+    # three thresholds each: most rows alarm in the first block at the lowest,
+    # some rows are censored at the highest
+    THRESHOLDS = {"soft": (1.0, 2.5, 4.0), "max": (2.0, 3.0, 4.5), "sum": (6.0, 12.0, 20.0),
+                  "chan1": (1.0, 2.0, 4.0), "xie_siegmund": (10.0, 20.0, 25.0),
+                  "chan2": (10.0, 20.0, 25.0)}
+
+    @staticmethod
+    def scheme(fam, name):
+        scheme = ALL_SCHEMES[name](fam)
+        if name in ("xie_siegmund", "chan2"):
+            # a window longer than a block: rows resumed from different t
+            # have filled different parts of it
+            scheme = GlrScheme(GlrParams(0.1, 100, name), scheme.b)
+        return scheme
+
+    @pytest.mark.parametrize("name", sorted(ALL_SCHEMES))
+    def test_lengths_from_resumed_paths(self, fam, model01, name):
+        scheme = self.scheme(fam, name)
+        sampler = MixtureStreamSampler(model01, ChangeScenario.no_change(5))
+        paths = detectors.Replicates(scheme, sampler, 30, self.CAP, seed=3)
+        low, mid, high = self.THRESHOLDS[name]
+        paths.advance(low)
+        paths.advance(mid)
+        # the last bar resumes, side by side, rows that stopped at different blocks
+        assert len(set(paths.t[paths.top < high].tolist())) > 1
+        paths.advance(high)
+        for b in (low, mid, high):
+            lengths, censored = paths.run_lengths(b)
+            engine = simulate_run_lengths(scheme.with_threshold(b), sampler, 30, self.CAP, 3)
+            oracle = lockstep_run_lengths(scheme, sampler, 30, self.CAP, 3, b)
+            for got in (engine, (lengths, censored)):
+                np.testing.assert_array_equal(got[0], oracle[0])
+                np.testing.assert_array_equal(got[1], oracle[1])
+        assert 0 < censored.sum() < 30
+
+    def test_no_record_past_cap(self):
+        # under this family an observation of 0 pushes the statistic up, so a
+        # last block drawn short and run full width would leave records past cap
+        fam = NominalFamily(-1.0, 0.0, 1.0)
+        model = GrossErrorModel(0.1, fam, OutlierSpec.gaussian_outlier(-1.0, 3.0))
+        scheme = lalpha(0.21, fam, "soft_threshold", d=1.0)
+        sampler = MixtureStreamSampler(model, ChangeScenario.no_change(5))
+        paths = detectors.Replicates(scheme, sampler, 30, self.CAP, seed=3)
+        for bar in (1.0, 2.5, 4.0):
+            paths.advance(bar)
+        for b in (1.0, 2.5, 4.0):
+            oracle = lockstep_run_lengths(scheme, sampler, 30, self.CAP, 3, b)
+            np.testing.assert_array_equal(paths.run_lengths(b)[0], oracle[0])
+            np.testing.assert_array_equal(paths.run_lengths(b)[1], oracle[1])
+        assert paths.t.max() == self.CAP and paths.records[-1][1].max() <= self.CAP
+
+    def test_jumps_price_every_threshold(self, fam, model01):
+        # base plus the rises of the records below b is the sum of lengths at b
+        scheme = ALL_SCHEMES["soft"](fam)
+        sampler = MixtureStreamSampler(model01, ChangeScenario.no_change(5))
+        paths = detectors.Replicates(scheme, sampler, 20, self.CAP, seed=4)
+        paths.advance(3.0)
+        paths.prune(1.0)
+        base, values, rises = paths.jumps()
+        for b in np.linspace(1.0, 3.0, 9):
+            below = values < b
+            assert base + rises[below].sum() == paths.run_lengths(b)[0].sum()
