@@ -19,7 +19,6 @@ from .calibration import (
     RunEstimate,
     calibrate_threshold,
     estimate_arl,
-    run_lengths,
 )
 from .detectors import (
     FusionRule,

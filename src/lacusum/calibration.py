@@ -1,20 +1,23 @@
 """Monte Carlo run-length estimation and threshold calibration.
 
-A run estimate is the mean stopping time over independent replicates under
-the no-change regime, censored at a cap.  Calibration finds the global
-threshold b at which the estimated average run length first reaches a
-target gamma.  A replicate's path does not depend on b, so its stopping
-time T(b) is the first step at which the path's running maximum reaches b,
-and the empirical ARL(b) = mean(min(T(b), cap)) is a nondecreasing step
-function of b.  Replicates are advanced until their running maximum reaches
-a rising bar, so one pass prices every b below the bar, and b is read off
-the final paths exactly: no trial threshold is simulated twice.
+A run estimate is the mean stopping time over independent replicates,
+censored at a cap.  One estimator serves the false-alarm ARL (a sampler with
+no change) and the detection delay (a sampler with the change at time 1).
+Calibration finds the global threshold b at which the estimated average run
+length first reaches a target gamma.  A replicate's path does not depend on
+b, so its stopping time T(b) is the first step at which the path's running
+maximum reaches b, and the empirical ARL(b) = mean(min(T(b), cap)) is a
+nondecreasing step function of b.  Replicates are advanced until their
+running maximum reaches a rising bar, so one pass prices every b below the
+bar, and b is read off the final paths exactly: no trial threshold is
+simulated twice.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -68,47 +71,45 @@ def _as_sampler(source, K: int | None = None):
     return source
 
 
-def _run_block(args):
-    scheme, sampler, n, cap, seed, offset = args
-    return simulate_run_lengths(scheme, sampler, reps=n, cap=cap, seed=seed,
-                                rep_offset=offset)
+def _pooled(parts) -> RunEstimate:
+    """The estimate over chunks' (lengths, censored) pairs, in chunk order."""
+    return RunEstimate.from_lengths(*(np.concatenate(p) for p in zip(*parts)))
 
 
-def run_lengths(scheme: Scheme, source, reps: int, cap: int, seed: int,
-                K: int | None = None, threads: int = 1):
-    """Run lengths over `reps` replicates, optionally on a process pool.
-
-    Replicate seeds derive from (seed, replicate index), so the result is
-    identical for every worker count.
-    """
-    if reps < 2:
-        raise ConfigError("need at least 2 replicates")
-    sampler = _as_sampler(source, K)
-    blocks = [(scheme, sampler, min(REP_BLOCK, reps - s), cap, seed, s)
-              for s in range(0, reps, REP_BLOCK)]
-    if threads > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_run_block, blocks))
-    else:
-        parts = [_run_block(b) for b in blocks]
-    lengths = np.concatenate([p[0] for p in parts])
-    censored = np.concatenate([p[1] for p in parts])
-    return lengths, censored
+@contextmanager
+def _chunk_map(threads: int):
+    """`map` over chunks of replicates, on a pool of `threads` processes when
+    threads > 1; the caller consumes the results inside the block."""
+    if threads <= 1:
+        yield map
+        return
+    with ProcessPoolExecutor(threads) as pool:
+        yield pool.map
 
 
 def estimate_arl(scheme: Scheme, source, reps: int, cap: int, seed: int,
                  K: int | None = None, threads: int = 1) -> RunEstimate:
-    """Average run length to false alarm under the no-change regime.
+    """Mean run length over `reps` replicates, optionally on a process pool.
 
-    Censored replicates contribute the cap, so a heavily censored estimate
-    (flagged) is a lower bound on the true ARL.
+    Serves both the ARL to false alarm (a source with no change, or a bare
+    model with K streams) and the detection delay (a sampler with the change
+    at time 1).  Replicates run in chunks of REP_BLOCK with seeds derived
+    from (seed, replicate index), so the result is identical for every
+    worker count.  Censored replicates contribute the cap, so a heavily
+    censored estimate (flagged) is a lower bound on the true mean.
     """
-    lengths, censored = run_lengths(scheme, source, reps, cap, seed, K, threads)
-    return RunEstimate.from_lengths(lengths, censored)
+    if reps < 2:
+        raise ConfigError("need at least 2 replicates")
+    sampler = _as_sampler(source, K)
+    starts = range(0, reps, REP_BLOCK)
+    sizes = [min(REP_BLOCK, reps - s) for s in starts]
+    with _chunk_map(min(threads, len(starts))) as chunk_map:
+        parts = list(chunk_map(simulate_run_lengths, repeat(scheme), repeat(sampler), sizes,
+                               repeat(cap), repeat(seed), starts))
+    return _pooled(parts)
 
 
-def _advance(job):
-    paths, bar = job
+def _advance(paths, bar: float):
     paths.advance(bar)
     return paths
 
@@ -160,14 +161,15 @@ def _root_on_paths(scheme: Scheme, sampler, gamma: float, pilot: int, reps: int,
     the records under that bar's slope window are dropped.  The paths are
     freed on return, before the final estimate draws its own.
     """
-    starts = [*range(0, pilot, REP_BLOCK), *range(pilot, reps, REP_BLOCK)]
+    # the pilot alone runs first, so it is split across the workers
+    pilot_block = min(REP_BLOCK, -(-pilot // max(threads, 1)))
+    starts = [*range(0, pilot, pilot_block), *range(pilot, reps, REP_BLOCK)]
     chunks = [Replicates(scheme, sampler, end - start, cap, seed, start)
               for start, end in zip(starts, starts[1:] + [reps])]
-    group, bar, bars = len(range(0, pilot, REP_BLOCK)), 1.0, 0
-    with ProcessPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+    group, bar, bars = len(range(0, pilot, pilot_block)), 1.0, 0
+    with _chunk_map(min(threads, len(chunks))) as chunk_map:
         while True:
-            jobs = [(c, bar) for c in chunks[:group]]
-            chunks[:group] = pool.map(_advance, jobs) if pool else map(_advance, jobs)
+            chunks[:group] = chunk_map(_advance, chunks[:group], repeat(bar))
             bars += 1
             arl = _arl(chunks[:group], bar)
             if arl >= gamma and group == len(chunks):
@@ -181,9 +183,7 @@ def _root_on_paths(scheme: Scheme, sampler, gamma: float, pilot: int, reps: int,
                     c.prune(_window(bar))
             bar = next_bar
     b = _root(chunks, gamma)
-    lengths, censored = (np.concatenate(parts)
-                         for parts in zip(*(c.run_lengths(b) for c in chunks)))
-    return b, bars, RunEstimate.from_lengths(lengths, censored)
+    return b, bars, _pooled([c.run_lengths(b) for c in chunks])
 
 
 def calibrate_threshold(scheme: Scheme, source, gamma: float, *,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import breakdown as bkd
 from . import experiments, profiles, tuning
-from .calibration import calibrate_threshold, estimate_arl
+from .calibration import calibrate_threshold
 from .detectors import (FusionRule, GlrParams, GlrScheme, LAlphaScheme, LocalParams,
                         StreamMonitor)
 from .errors import ConfigError, NumericError
@@ -31,7 +31,7 @@ _KNOWN_KEYS = {
     "tune": {"alpha_grid", "samples", "method", "gamma", "k", "m"},
     "breakdown": {"alpha_grid"},
     "calibrate": {"gamma", "reps"},
-    "simulate": {"mode", "m_grid", "theta_grid", "eps_grid", "reps", "gamma", "cap"},
+    "simulate": {"mode", "m_grid", "theta_grid", "eps_grid", "reps", "cap"},
     "casestudy": {"target_arl", "reps", "cap", "p", "length", "counts", "pre_outlier",
                   "fault1_magnitude", "fault2_magnitude", "noise_sd"},
     "monitor": {"stop_on_alarm"},
@@ -138,6 +138,21 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.array([float(p) for p in spec.split(",")])
 
 
+def _alpha_grid(spec: str) -> tuple[float, float]:
+    """(alpha_max, step) of an alpha grid, which must be 0, s, 2s, ... for its step s.
+
+    The grid commands evaluate exactly that grid, so any other grid is a
+    ConfigError rather than silently replaced.  A lone 0 is the grid {0}.
+    """
+    grid = _parse_grid(spec)
+    step = float(grid[1] - grid[0]) if grid.size > 1 else 0.01
+    if not (np.isfinite(grid).all() and step > 0
+            and np.rint(grid[-1] / step) + 1 == grid.size
+            and np.array_equal(grid, np.round(np.arange(grid.size) * step, 10))):
+        raise ConfigError(f"alpha grid must be 0, s, 2s, ... for a step s > 0, got {spec!r}")
+    return float(grid[-1]), step
+
+
 @contextmanager
 def _open_output(path: str | None):
     """CSV writer on the output file, or on stdout for no path or '-'."""
@@ -194,7 +209,8 @@ _with_monte_carlo = _with_options(_global + _seeded + _monte_carlo)
 @cli.command()
 @_with_seed
 @click.option("--epsilon", type=float, default=None, help="Contamination ratio.")
-@click.option("--alpha-grid", default=None, help="Alpha grid.  [default: 0:0.01:2]")
+@click.option("--alpha-grid", default=None,
+              help="Alpha grid 0, s, 2s, ...: '0:s:max' or a list.  [default: 0:0.01:2]")
 @click.option("--samples", type=int, default=None,
               help="Monte Carlo samples.  [default: 1000000]")
 @click.option("--method", type=click.Choice(["monte_carlo", "gauss_hermite_mixture"]),
@@ -211,16 +227,15 @@ def tune(config_path, seed, output, epsilon, alpha_grid, samples,
     """
     cfg = _load_config(config_path)
     model = _build_model(cfg, epsilon=epsilon)
-    grid = _parse_grid(_merged(cfg, "tune", "alpha_grid", alpha_grid, "0:0.01:2", str))
-    step = float(grid[1] - grid[0]) if len(grid) > 1 else 0.01
+    alpha_max, step = _alpha_grid(_merged(cfg, "tune", "alpha_grid", alpha_grid, "0:0.01:2",
+                                          str))
     qc = tuning.QuadratureConfig(
         method=_merged(cfg, "tune", "method", method, "monte_carlo", str),
         n_samples=_merged(cfg, "tune", "samples", samples, 1_000_000, int), seed=seed)
     gamma = _merged(cfg, "tune", "gamma", gamma, 5000.0)
     k_streams = _merged(cfg, "tune", "k", k_streams, 100, int)
     m_streams = _merged(cfg, "tune", "m", m_streams, 10, int)
-    rows = tuning.tuning_grid(model.epsilon, model, alpha_max=float(grid[-1]),
-                              step=step, qc=qc)
+    rows = tuning.tuning_grid(model.epsilon, model, alpha_max=alpha_max, step=step, qc=qc)
     usable = [r for r in rows if r.objective is not None]
     if not usable:
         raise NumericError("no grid point admits a positive MGF root "
@@ -239,7 +254,8 @@ def tune(config_path, seed, output, epsilon, alpha_grid, samples,
 
 @cli.command("breakdown")
 @_with_global
-@click.option("--alpha-grid", default="0:0.01:2", show_default=True)
+@click.option("--alpha-grid", default="0:0.01:2", show_default=True,
+              help="Alpha grid 0, s, 2s, ...: '0:s:max' or a list.")
 @click.option("--theta0", type=float, default=None)
 @click.option("--theta1", type=float, default=None)
 @click.option("--sigma", type=float, default=None)
@@ -248,9 +264,9 @@ def breakdown_cmd(config_path, output, alpha_grid,
     """Breakdown-point curve: alpha, d_alpha, m_alpha, eps_star."""
     cfg = _load_config(config_path)
     model = _build_model(cfg, theta0=theta0, theta1=theta1, sigma=sigma)
-    grid = _parse_grid(_merged(cfg, "breakdown", "alpha_grid", alpha_grid, cast=str))
-    step = float(grid[1] - grid[0]) if len(grid) > 1 else 0.01
-    reports = bkd.breakdown_grid(model.nominal, alpha_max=float(grid[-1]), step=step)
+    alpha_max, step = _alpha_grid(_merged(cfg, "breakdown", "alpha_grid", alpha_grid,
+                                          cast=str))
+    reports = bkd.breakdown_grid(model.nominal, alpha_max=alpha_max, step=step)
     with _open_output(output) as writer:
         writer.writerow(["alpha", "d_alpha", "m_alpha", "eps_star"])
         for r in reports:
@@ -329,9 +345,7 @@ def simulate(config_path, seed, output, threads, reps, mode):
             scenarios = tuple(ChangeScenario.immediate(K, m, th)
                               for th in theta_grid for m in m_grid if m <= K)
             spec = experiments.ExperimentSpec(
-                schemes=tuple(schemes), model_pre=model.with_epsilon(0.0),
-                model_post=model, scenarios=scenarios,
-                gamma=float(_merged(cfg, "simulate", "gamma", None, 5000.0)),
+                schemes=tuple(schemes), model_post=model, scenarios=scenarios,
                 reps=reps, seed=seed, cap=cap, threads=threads)
             writer.writerow(["scheme", "parameter", "mean", "se", "reps", "censored",
                              "delay_bound_ratio", "error"])

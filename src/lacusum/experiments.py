@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .breakdown import breakdown_grid
-from .calibration import RunEstimate, run_lengths
+from .calibration import RunEstimate, estimate_arl
 from .detectors import LAlphaScheme, Scheme
 from .errors import ConfigError, NumericError
 from .models import ChangeScenario, GrossErrorModel, MixtureStreamSampler
@@ -24,13 +24,17 @@ DEFAULT_M_GRID = (1, 3, 5, 8, 10, 15, 20, 30, 50, 100)
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A delay study: calibrated schemes crossed with change scenarios."""
+    """A delay study: calibrated schemes crossed with change scenarios.
+
+    model_pre and gamma are accepted for callers that still pass them;
+    nothing reads them.
+    """
 
     schemes: tuple
-    model_pre: GrossErrorModel
     model_post: GrossErrorModel
     scenarios: tuple
-    gamma: float
+    model_pre: GrossErrorModel | None = None
+    gamma: float | None = None
     reps: int = 200
     seed: int = 0
     cap: int = 100_000
@@ -58,8 +62,7 @@ def simulate_delay(scheme: Scheme, model_post: GrossErrorModel, scenario: Change
         raise ConfigError("delay simulation requires a scenario with nu = 1")
     scenario.validate_against(model_post.nominal)
     sampler = MixtureStreamSampler(model_post, scenario)
-    lengths, censored = run_lengths(scheme, sampler, reps, cap, seed, threads=threads)
-    return RunEstimate.from_lengths(lengths, censored)
+    return estimate_arl(scheme, sampler, reps, cap, seed, threads=threads)
 
 
 def _delay_bound_ratio(scheme: Scheme, model: GrossErrorModel, scenario: ChangeScenario,
@@ -128,11 +131,8 @@ def arl_vs_epsilon_curve(schemes, model: GrossErrorModel, eps_grid, reps: int,
     points = []
     for i, scheme in enumerate(schemes):
         for j, eps in enumerate(eps_grid):
-            sampler = MixtureStreamSampler(model.with_epsilon(float(eps)),
-                                           ChangeScenario.no_change(K))
-            lengths, censored = run_lengths(scheme, sampler, reps, cap,
-                                            _cell_seed(seed, i, j), threads=threads)
-            est = RunEstimate.from_lengths(lengths, censored)
+            est = estimate_arl(scheme, model.with_epsilon(float(eps)), reps, cap,
+                               _cell_seed(seed, i, j), K, threads)
             points.append(CurvePoint(scheme.label, float(eps), math.log(est.mean),
                                      est.std_error / est.mean, est))
     return points

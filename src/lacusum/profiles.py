@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationResult, RunEstimate, calibrate_threshold, run_lengths
+from .calibration import CalibrationResult, RunEstimate, calibrate_threshold, estimate_arl
 from .errors import ConfigError, DegenerateCoefficientError
 
 SQRT2 = math.sqrt(2.0)
@@ -115,9 +115,21 @@ def retain_and_standardize(coefficients, p: int, stats: BaselineStats) -> np.nda
 # Synthetic data
 # ---------------------------------------------------------------------------
 
+# Shapes of the synthetic profiles.  Centers and widths are fractions of the
+# profile length, the glitch width and ripple period are in samples, and the
+# ripple and glitch heights are relative to fault1's magnitude.
+BASELINE_AMPLITUDE = 80.0
+FAULT1_CENTER, FAULT1_WIDTH = 0.67, 0.30
+FAULT1_RIPPLE, FAULT1_RIPPLE_PERIOD = 1.0, 64
+FAULT1_GLITCH, FAULT1_GLITCH_WIDTH = 12.0, 14
+FAULT2_CENTER, FAULT2_WIDTH = 0.35, 0.34
+# per-sample fault amplitudes are uniform on 1 +- AMPLITUDE_JITTER
+AMPLITUDE_JITTER = 0.2
+
+
 @dataclass(frozen=True)
 class ProfileGeneratorConfig:
-    """Shapes and magnitudes of the synthetic forming-force profiles.
+    """Length, noise and fault magnitudes of the synthetic forming-force profiles.
 
     fault1 is a small localized deviation (smooth shape change, a mid-scale
     ripple and one sharp glitch, all inside a sparse support window); fault2
@@ -126,19 +138,9 @@ class ProfileGeneratorConfig:
     """
 
     length: int = 2048
-    baseline_amplitude: float = 80.0
     noise_sd: float = 1.0
     fault1_magnitude: float = 2.8
     fault2_magnitude: float = 14.0
-    fault1_center: float = 0.67
-    fault1_width: float = 0.30
-    fault1_ripple: float = 1.0
-    fault1_ripple_period: int = 64
-    fault1_glitch: float = 12.0
-    fault1_glitch_width: int = 14
-    fault2_center: float = 0.35
-    fault2_width: float = 0.34
-    amplitude_jitter: float = 0.2
 
     def __post_init__(self):
         _check_dyadic(self.length)
@@ -170,23 +172,19 @@ def _raised_cosine(length: int, center: int, width: int) -> np.ndarray:
 def baseline_curve(config: ProfileGeneratorConfig) -> np.ndarray:
     """Smooth in-control mean profile."""
     t = np.linspace(0.0, 1.0, config.length)
-    return config.baseline_amplitude * np.exp(-((t - 0.5) / 0.18) ** 2) * (
+    return BASELINE_AMPLITUDE * np.exp(-((t - 0.5) / 0.18) ** 2) * (
         1.0 + 0.05 * np.sin(8.0 * np.pi * t))
 
 
 def fault_deviations(config: ProfileGeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
     """Mean deviation curves of the two fault modes."""
     L = config.length
-    c1 = int(config.fault1_center * L)
-    w1 = int(config.fault1_width * L)
-    window = _raised_cosine(L, c1, w1)
-    ripple = config.fault1_ripple * np.sin(
-        2.0 * np.pi * np.arange(L) / config.fault1_ripple_period) * window
-    glitch = config.fault1_glitch * _raised_cosine(
-        L, int(0.6 * L), config.fault1_glitch_width)
+    window = _raised_cosine(L, int(FAULT1_CENTER * L), int(FAULT1_WIDTH * L))
+    ripple = FAULT1_RIPPLE * np.sin(2.0 * np.pi * np.arange(L) / FAULT1_RIPPLE_PERIOD) * window
+    glitch = FAULT1_GLITCH * _raised_cosine(L, int(0.6 * L), FAULT1_GLITCH_WIDTH)
     dev1 = config.fault1_magnitude * config.noise_sd * (window + ripple + glitch)
     dev2 = config.fault2_magnitude * config.noise_sd * _raised_cosine(
-        L, int(config.fault2_center * L), int(config.fault2_width * L))
+        L, int(FAULT2_CENTER * L), int(FAULT2_WIDTH * L))
     return dev1, dev2
 
 
@@ -202,7 +200,7 @@ def synth_pool(config: ProfileGeneratorConfig | None = None,
     dev1, dev2 = fault_deviations(config)
 
     def pool(n: int, dev: np.ndarray) -> np.ndarray:
-        amps = 1.0 + config.amplitude_jitter * (2.0 * rng.random(n) - 1.0)
+        amps = 1.0 + AMPLITUDE_JITTER * (2.0 * rng.random(n) - 1.0)
         noise = rng.normal(0.0, config.noise_sd, (n, config.length))
         return base + np.outer(amps, dev) + noise
 
@@ -300,6 +298,13 @@ class PoolStreamSampler:
         return np.where(times >= self.nu, post, pre)
 
 
+# probabilities of (regular row, outlier row) in both case-study streams
+OUTLIER_MIX = (0.9, 0.1)
+
+# the calibration check's relative tolerance on the short case-study runs
+CASE_STUDY_REL_TOL = 0.1
+
+
 @dataclass(frozen=True)
 class CaseStudyRow:
     scheme: str
@@ -319,18 +324,15 @@ def standardized_pools(pool: ProfilePool, p: int) -> tuple[np.ndarray, np.ndarra
 
 
 def case_study_run(pool: ProfilePool, schemes, target_arl: float = 300.0, *,
-                   mix_pre: tuple[float, float] = (0.9, 0.1),
-                   mix_post: tuple[float, float] = (0.9, 0.1),
                    pre_outlier: str = "fault1",
                    p: int | None = None, reps: int = 100, seed: int = 0,
-                   rel_tol: float = 0.1, cap: int | None = None,
-                   threads: int = 1) -> list[CaseStudyRow]:
+                   cap: int | None = None, threads: int = 1) -> list[CaseStudyRow]:
     """Calibrate each scheme on the contaminated in-control stream, then time
     its detection of the persistent fault.
 
     The in-control stream mixes normal rows with pre_outlier rows at
-    mix_pre; the faulty stream mixes fault1 rows (the persistent change)
-    with fault2 rows (transient outliers) at mix_post.
+    OUTLIER_MIX; the faulty stream mixes fault1 rows (the persistent change)
+    with fault2 rows (transient outliers) at OUTLIER_MIX.
     """
     if pre_outlier not in ("fault1", "fault2"):
         raise ConfigError("pre_outlier must be 'fault1' or 'fault2'")
@@ -338,20 +340,18 @@ def case_study_run(pool: ProfilePool, schemes, target_arl: float = 300.0, *,
         raise ConfigError("target_arl must exceed 1")
     zn, z1, z2 = standardized_pools(pool, p or pool.normal.shape[1] // 4)
     pre_out = z1 if pre_outlier == "fault1" else z2
-    pre_sampler = PoolStreamSampler(pre_pools=(zn, pre_out), pre_probs=tuple(mix_pre))
+    pre_sampler = PoolStreamSampler(pre_pools=(zn, pre_out), pre_probs=OUTLIER_MIX)
     post_sampler = PoolStreamSampler(pre_pools=(zn,), pre_probs=(1.0,),
-                                     post_pools=(z1, z2), post_probs=tuple(mix_post),
-                                     nu=1)
+                                     post_pools=(z1, z2), post_probs=OUTLIER_MIX, nu=1)
     run_cap = cap if cap is not None else int(20 * target_arl)
     rows = []
     for i, scheme in enumerate(schemes):
         cal: CalibrationResult = calibrate_threshold(
-            scheme, pre_sampler, target_arl, rel_tol=rel_tol,
+            scheme, pre_sampler, target_arl, rel_tol=CASE_STUDY_REL_TOL,
             reps_schedule=(max(50, reps // 2), reps), seed=seed + i,
             cap=run_cap, threads=threads)
         calibrated = scheme.with_threshold(cal.b)
-        lengths, censored = run_lengths(calibrated, post_sampler, reps,
-                                        run_cap, seed + 1000 + i, threads=threads)
-        rows.append(CaseStudyRow(scheme=scheme.label, b=cal.b, arl=cal.arl,
-                                 delay=RunEstimate.from_lengths(lengths, censored)))
+        delay = estimate_arl(calibrated, post_sampler, reps, run_cap, seed + 1000 + i,
+                             threads=threads)
+        rows.append(CaseStudyRow(scheme=scheme.label, b=cal.b, arl=cal.arl, delay=delay))
     return rows

@@ -24,35 +24,35 @@ from .models import GrossErrorModel, NominalFamily
 
 MC_MIN_SAMPLES = 100_000
 
+# the MGF root stops at |phi - 1| below this; the info number's node-doubling
+# check allows this residual
+QUAD_TOLERANCE = 1e-6
+
+# Gauss-Hermite nodes per Gaussian component
+QUAD_NODES = 201
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """How expectations are evaluated: deterministic quadrature or Monte Carlo."""
 
     method: str = "gauss_hermite_mixture"
-    tolerance: float = 1e-6
     n_samples: int = 1_000_000
     seed: int = 0
-    nodes: int = 201
 
     def __post_init__(self):
         if self.method not in ("gauss_hermite_mixture", "monte_carlo"):
             raise ConfigError(f"unknown quadrature method {self.method!r}")
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
         if self.method == "monte_carlo" and self.n_samples < MC_MIN_SAMPLES:
             raise ConfigError(f"monte_carlo needs >= {MC_MIN_SAMPLES} samples")
-        if self.nodes < 3:
-            raise ConfigError("need at least 3 quadrature nodes")
 
     @classmethod
-    def monte_carlo(cls, n_samples: int = 1_000_000, seed: int = 0,
-                    tolerance: float = 1e-6) -> "QuadratureConfig":
-        return cls(method="monte_carlo", n_samples=n_samples, seed=seed, tolerance=tolerance)
+    def monte_carlo(cls, n_samples: int = 1_000_000, seed: int = 0) -> "QuadratureConfig":
+        return cls(method="monte_carlo", n_samples=n_samples, seed=seed)
 
     @classmethod
-    def quadrature(cls, nodes: int = 201, tolerance: float = 1e-6) -> "QuadratureConfig":
-        return cls(method="gauss_hermite_mixture", nodes=nodes, tolerance=tolerance)
+    def quadrature(cls) -> "QuadratureConfig":
+        return cls(method="gauss_hermite_mixture")
 
 
 def _gh_points(n: int):
@@ -122,16 +122,16 @@ def info_number(theta: float, epsilon: float, alpha: float, model: GrossErrorMod
     if w is None:
         return float(np.mean(y))
     coarse = float(np.dot(w, y))
-    x2, w2 = mixture_nodes(model, theta, 2 * qc.nodes - 1)
+    x2, w2 = mixture_nodes(model, theta, 2 * QUAD_NODES - 1)
     fine = float(np.dot(w2, lalpha_increment(x2, LocalParams(alpha=alpha, fam=fam))))
     residual = abs(fine - coarse)
-    if residual > max(qc.tolerance, 1e-8 * max(1.0, abs(fine))):
+    if residual > max(QUAD_TOLERANCE, 1e-8 * max(1.0, abs(fine))):
         raise QuadratureError(f"info quadrature residual {residual:.3e}", residual=residual)
     return fine
 
 
 def solve_mgf_root(values: np.ndarray, weights: np.ndarray | None = None,
-                   tolerance: float = 1e-6, hint: float | None = None) -> float:
+                   tolerance: float = QUAD_TOLERANCE, hint: float | None = None) -> float:
     """Unique positive root of E[exp(lambda * Y)] = 1 for a weighted sample of Y.
 
     Requires E[Y] < 0 (otherwise no positive root exists).  The MGF phi is
@@ -194,7 +194,7 @@ def _increment_values(model: GrossErrorModel, theta: float, alpha: float,
     if qc.method == "monte_carlo":
         x = model.sample(np.random.default_rng(qc.seed), theta, qc.n_samples)
         return lalpha_increment(x, p), None
-    x, w = mixture_nodes(model, theta, qc.nodes)
+    x, w = mixture_nodes(model, theta, QUAD_NODES)
     return lalpha_increment(x, p), w
 
 
@@ -210,7 +210,7 @@ def solve_lambda(epsilon: float, alpha: float, model: GrossErrorModel,
     if epsilon == 0.0 and alpha == 0.0:
         return 1.0
     y, w = _increment_values(model, model.nominal.theta0, alpha, qc)
-    return solve_mgf_root(y, w, tolerance=qc.tolerance)
+    return solve_mgf_root(y, w)
 
 
 @dataclass(frozen=True)
@@ -246,8 +246,8 @@ def tuning_grid(epsilon: float, model: GrossErrorModel, alpha_max: float = 2.0,
         x1 = model.sample(rng, fam.theta1, qc.n_samples)
         w0 = w1 = None
     else:
-        x0, w0 = mixture_nodes(model, fam.theta0, qc.nodes)
-        x1, w1 = mixture_nodes(model, fam.theta1, qc.nodes)
+        x0, w0 = mixture_nodes(model, fam.theta0, QUAD_NODES)
+        x1, w1 = mixture_nodes(model, fam.theta1, QUAD_NODES)
 
     def averaged(values, weights):
         return float(np.mean(values)) if weights is None else float(np.dot(weights, values))
@@ -260,8 +260,7 @@ def tuning_grid(epsilon: float, model: GrossErrorModel, alpha_max: float = 2.0,
             lam = 1.0
         else:
             try:
-                lam = solve_mgf_root(lalpha_increment(x0, p), w0,
-                                     tolerance=qc.tolerance, hint=prev_lam)
+                lam = solve_mgf_root(lalpha_increment(x0, p), w0, hint=prev_lam)
             except (NoPositiveRootError, MgfDivergenceError):
                 rows.append(GridRow(float(a), None, None, None, None))
                 continue

@@ -16,10 +16,11 @@ from lacusum import (
     arl_lower_bound,
     calibrate_threshold,
     estimate_arl,
+    simulate_run_lengths,
     solve_lambda,
     QuadratureConfig,
 )
-from lacusum.calibration import RunEstimate, run_lengths
+from lacusum.calibration import RunEstimate
 
 
 def soft_scheme(fam, alpha, b, d):
@@ -66,6 +67,15 @@ class TestEstimateArl:
         parallel = estimate_arl(scheme, model01, threads=2, **kw)
         assert serial == parallel
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_equals_one_engine_call(self, fam, model01, threads):
+        # 600 replicates: chunks of 250, 250 and a partial 100
+        scheme = soft_scheme(fam, 0.21, 2.0, 0.3)
+        sampler = MixtureStreamSampler(model01, ChangeScenario.no_change(4))
+        est = estimate_arl(scheme, sampler, 600, 2000, 9, threads=threads)
+        assert est == RunEstimate.from_lengths(
+            *simulate_run_lengths(scheme, sampler, 600, 2000, 9))
+
 
 class TestCalibrate:
     def test_gamma_one_gives_zero_threshold(self, fam, model01):
@@ -94,8 +104,9 @@ class TestCalibrate:
         res = calibrate_threshold(scheme, model01, gamma=50.0, seed=2, K=3,
                                   reps_schedule=(100, 200))
         sampler = MixtureStreamSampler(model01, ChangeScenario.no_change(3))
-        at_b, _ = run_lengths(scheme.with_threshold(res.b), sampler, 100, 2000, 7)
-        above, _ = run_lengths(scheme.with_threshold(res.b * 1.3), sampler, 100, 2000, 7)
+        at_b, _ = simulate_run_lengths(scheme.with_threshold(res.b), sampler, 100, 2000, 7)
+        above, _ = simulate_run_lengths(scheme.with_threshold(res.b * 1.3), sampler,
+                                        100, 2000, 7)
         assert np.all(above >= at_b)
 
     def test_gamma_below_one_rejected(self, fam, model01):
@@ -151,9 +162,9 @@ class TestExactRoot:
         scheme = soft_scheme(fam, 0.21, 1.0, 0.5)
         res = calibrate_threshold(scheme, model01, reps_schedule=(100, 300), **self.KW)
         sampler = MixtureStreamSampler(model01, ChangeScenario.no_change(5))
-        at_b, _ = run_lengths(scheme.with_threshold(res.b), sampler, 300, 5000, 5)
-        below, _ = run_lengths(scheme.with_threshold(np.nextafter(res.b, 0.0)), sampler,
-                               300, 5000, 5)
+        at_b, _ = simulate_run_lengths(scheme.with_threshold(res.b), sampler, 300, 5000, 5)
+        below, _ = simulate_run_lengths(scheme.with_threshold(np.nextafter(res.b, 0.0)),
+                                        sampler, 300, 5000, 5)
         assert at_b.mean() == res.arl.mean >= 100.0 > below.mean()
 
     def test_draws_at_most_half_of_the_bisection(self, fam, model01):

@@ -95,13 +95,26 @@ class TestTuneConfig:
         assert flagged == self.run_tune(capsys, tmp_path, gamma="50", k="20")
 
 
+class TestAlphaGrid:
+    """tune and breakdown evaluate 0, s, 2s, ... up to the grid's last point,
+    so a grid of any other shape exits 1 instead of being replaced."""
+
+    @pytest.mark.parametrize("argv", [
+        ["tune", "--method", "gauss_hermite_mixture", "--alpha-grid", "0,0.21,0.51"],
+        ["tune", "--alpha-grid", "0.5:0.25:1"],
+        ["breakdown", "--alpha-grid", "0.3"],
+    ], ids=["uneven-list", "nonzero-start", "lone-point"])
+    def test_rejected(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys=capsys)
+        assert code == 1 and "alpha grid" in err and out == ""
+
+
 class TestConfigKeysTakeEffect:
     """Every whitelisted key either changes the output or is rejected with exit 1.
 
-    The one known-inert key is [simulate] gamma: it is accepted and feeds
-    ExperimentSpec.gamma, which no delay-table computation reads yet.
-    [calibrate] rel_tol is rejected: calibration returns the exact root on its
-    paths, so the tolerance no longer changes the result.
+    [simulate] gamma is rejected: no delay-table computation reads a target
+    ARL.  [calibrate] rel_tol is rejected: calibration returns the exact root
+    on its paths, so the tolerance no longer changes the result.
     """
 
     MONITOR_STREAM = "x1,x2\n0.4,0.2\n2.0,1.8\n2.2,2.4\n2.1,2.2\n"
@@ -135,7 +148,7 @@ class TestConfigKeysTakeEffect:
         ("calibrate", "scenario", "nu", "1", "rejected"),
         ("casestudy", "casestudy", "mix_pre", "0.9,0.1", "rejected"),
         ("casestudy", "casestudy", "mix_post", "0.9,0.1", "rejected"),
-        ("simulate", "simulate", "gamma", "50", "inert"),
+        ("simulate", "simulate", "gamma", "50", "rejected"),
     ])
     def test_key(self, capsys, tmp_path, command, section, key, value, effect):
         code, out, err = self.run(capsys, tmp_path, command, section, key, value)

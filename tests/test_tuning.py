@@ -222,10 +222,10 @@ class TestNewtonSolver:
                              ids=["quadrature", "monte_carlo"])
     def test_root_closes_the_equation(self, model01, alpha, qc):
         y, w = _increment_values(model01, 0.0, alpha, qc)
-        lam = solve_mgf_root(y, w, tolerance=qc.tolerance)
+        lam = solve_mgf_root(y, w)
         phi = np.mean(np.exp(lam * y)) if w is None else np.dot(w / w.sum(), np.exp(lam * y))
         assert lam > 0
-        assert abs(phi - 1.0) < qc.tolerance
+        assert abs(phi - 1.0) < tuning.QUAD_TOLERANCE
 
     def test_grid_agrees_with_bisection_oracle(self, model01):
         rows = tuning_grid(0.1, model01, alpha_max=2.0, step=0.01, qc=QUAD)
@@ -236,7 +236,7 @@ class TestNewtonSolver:
             y, w = _increment_values(model01, 0.0, r.alpha, QUAD)
             oracle = bisection_mgf_root(y, w, 1e-12)
             slope = np.dot(w / w.sum(), y * np.exp(oracle * y))
-            assert abs(r.lambda_ - oracle) < QUAD.tolerance / slope, r.alpha
+            assert abs(r.lambda_ - oracle) < tuning.QUAD_TOLERANCE / slope, r.alpha
 
     def test_grid_evaluation_budget(self, model01, monkeypatch):
         counter, calls = CountingNumpy(), []
