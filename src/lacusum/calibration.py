@@ -80,7 +80,9 @@ def _pooled(parts) -> RunEstimate:
 def _chunk_map(threads: int):
     """`map` over chunks of replicates, on a pool of `threads` processes when
     threads > 1; the caller consumes the results inside the block."""
-    if threads <= 1:
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    if threads == 1:
         yield map
         return
     with ProcessPoolExecutor(threads) as pool:

@@ -92,6 +92,8 @@ def run_delay_table(spec: ExperimentSpec) -> list[DelayRow]:
         raise ConfigError("need at least 2 replicates")
     if spec.cap < 1:
         raise ConfigError(f"cap must be >= 1, got {spec.cap}")
+    if spec.threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {spec.threads}")
     thetas = {s.theta_post for s in spec.scenarios}
     by_theta = len(thetas) > 1
     rows = []

@@ -13,6 +13,7 @@ real profile data is available.
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -83,8 +84,8 @@ def _transform_pool(pool, p: int) -> np.ndarray:
     signals = np.asarray(pool, dtype=float)
     if signals.ndim != 2:
         raise ConfigError("pool must be a 2-d array: one signal per row")
-    if p > signals.shape[1]:
-        raise ConfigError(f"p={p} exceeds signal length {signals.shape[1]}")
+    if not 1 <= p <= signals.shape[1]:
+        raise ConfigError(f"p={p} must lie in 1..{signals.shape[1]}, the signal length")
     return np.array([haar_transform(s)[:p] for s in signals])
 
 
@@ -193,8 +194,8 @@ def synth_pool(config: ProfileGeneratorConfig | None = None,
                seed: int = 0) -> ProfilePool:
     """Deterministic synthetic pool: baseline plus per-sample jittered deviations."""
     config = config or ProfileGeneratorConfig()
-    if min(counts) < 1:
-        raise ConfigError("pool counts must be positive")
+    if len(counts) != 3 or not all(isinstance(n, Integral) and n >= 1 for n in counts):
+        raise ConfigError(f"pool counts must be three positive integers, got {counts!r}")
     rng = np.random.default_rng(seed)
     base = baseline_curve(config)
     dev1, dev2 = fault_deviations(config)
@@ -338,7 +339,7 @@ def case_study_run(pool: ProfilePool, schemes, target_arl: float = 300.0, *,
         raise ConfigError("pre_outlier must be 'fault1' or 'fault2'")
     if target_arl <= 1:
         raise ConfigError("target_arl must exceed 1")
-    zn, z1, z2 = standardized_pools(pool, p or pool.normal.shape[1] // 4)
+    zn, z1, z2 = standardized_pools(pool, p if p is not None else pool.normal.shape[1] // 4)
     pre_out = z1 if pre_outlier == "fault1" else z2
     pre_sampler = PoolStreamSampler(pre_pools=(zn, pre_out), pre_probs=OUTLIER_MIX)
     post_sampler = PoolStreamSampler(pre_pools=(zn,), pre_probs=(1.0,),

@@ -60,6 +60,12 @@ class TestEstimateArl:
             estimate_arl(soft_scheme(fam, 0.0, 1.0, 0.0), model0,
                          reps=10, cap=50, seed=0)
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, fam, model01, threads):
+        with pytest.raises(ConfigError, match="threads must be >= 1"):
+            estimate_arl(soft_scheme(fam, 0.21, 2.0, 0.3), model01,
+                         reps=20, cap=100, seed=0, K=3, threads=threads)
+
     def test_threads_do_not_change_results(self, fam, model01):
         scheme = soft_scheme(fam, 0.21, 2.0, 0.3)
         kw = dict(reps=300, cap=2000, seed=9, K=4)

@@ -1,11 +1,21 @@
 """Command-line interface: dispatch, config handling, exit codes, determinism."""
 
 import io
+import re
 import sys
+from pathlib import Path
 
+import click
 import pytest
 
-from lacusum.cli import main
+from lacusum.cli import REQUIRED, SETTINGS, _load_config, _setting, main
+
+
+def write_ini(path, sections):
+    """Write {section: {key: value}} as an INI file and return its path as a string."""
+    path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                            for name, keys in sections.items()))
+    return str(path)
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -127,6 +137,7 @@ class TestConfigKeysTakeEffect:
                      {"scenario": {"k": "5"}, "simulate": {"m_grid": "2", "reps": "20"},
                       "scheme": {"alpha": "0.21", "b": "3.0", "d": "0.5"}}),
         "casestudy": (["casestudy"], {"casestudy": {"length": "256"}}),
+        "breakdown": (["breakdown"], {}),
     }
 
     def run(self, capsys, tmp_path, command, section=None, key=None, value=None,
@@ -135,10 +146,8 @@ class TestConfigKeysTakeEffect:
         sections = {name: dict(keys) for name, keys in sections.items()}
         if section is not None:
             sections.setdefault(section, {})[key] = value
-        cfg = tmp_path / f"{command}.ini"
-        cfg.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-                               for name, keys in sections.items()))
-        return run_cli([*argv, "--config", str(cfg), *flags],
+        cfg = write_ini(tmp_path / f"{command}.ini", sections)
+        return run_cli([*argv, "--config", cfg, *flags],
                        stdin_text=self.MONITOR_STREAM, capsys=capsys)
 
     @pytest.mark.parametrize("command,section,key,value,effect", [
@@ -149,6 +158,7 @@ class TestConfigKeysTakeEffect:
         ("casestudy", "casestudy", "mix_pre", "0.9,0.1", "rejected"),
         ("casestudy", "casestudy", "mix_post", "0.9,0.1", "rejected"),
         ("simulate", "simulate", "gamma", "50", "rejected"),
+        ("breakdown", "breakdown", "alpha_grid", "0:0.5:1", "changes"),
     ])
     def test_key(self, capsys, tmp_path, command, section, key, value, effect):
         code, out, err = self.run(capsys, tmp_path, command, section, key, value)
@@ -161,10 +171,115 @@ class TestConfigKeysTakeEffect:
 
     @pytest.mark.parametrize("command,section,key,value,flag", [
         ("monitor", "monitor", "stop_on_alarm", "false", "--stop-on-alarm"),
+        ("breakdown", "breakdown", "alpha_grid", "0:0.5:1", "--alpha-grid 0:0.01:2"),
     ])
     def test_flag_beats_config(self, capsys, tmp_path, command, section, key, value, flag):
-        flagged = self.run(capsys, tmp_path, command, section, key, value, [flag])
+        flagged = self.run(capsys, tmp_path, command, section, key, value, flag.split())
         assert flagged == self.run(capsys, tmp_path, command)
+
+
+class TestMalformedInput:
+    """A value its key's type cannot parse exits 1 naming the key, before any output."""
+
+    # a command that reads each section, with the keys it needs to get there
+    READERS = {
+        "model": ("breakdown", {}),
+        "scenario": ("simulate", {"scheme": {"b": "3"}}),
+        "scheme": ("monitor", {}),
+        "tune": ("tune", {}),
+        "breakdown": ("breakdown", {}),
+        "calibrate": ("calibrate", {"calibrate": {"gamma": "5"}}),
+        "simulate": ("simulate", {"scheme": {"b": "3"}}),
+        "casestudy": ("casestudy", {"casestudy": {"length": "64"}}),
+        "monitor": ("monitor", {}),
+    }
+    # keys read only under another key's value
+    NEEDS = {"outlier.location": ("model", "outlier.kind", "point_mass"),
+             "p0": ("scheme", "kind", "glr"), "window": ("scheme", "kind", "glr"),
+             "variant": ("scheme", "kind", "glr"),
+             "eps_grid": ("simulate", "mode", "arl_vs_epsilon")}
+
+    def run(self, capsys, tmp_path, section, changes, flags=()):
+        command, context = self.READERS[section]
+        sections = {name: dict(keys) for name, keys in context.items()}
+        for name, keys in changes.items():
+            sections.setdefault(name, {}).update(keys)
+        cfg = write_ini(tmp_path / "bad.ini", sections)
+        code, out, err = run_cli([command, "--config", cfg, *flags], stdin_text="",
+                                 capsys=capsys)
+        assert code == 1 and out == "" and "Traceback" not in err, err
+        return err
+
+    @pytest.mark.parametrize("section,key", [
+        (section, key) for section, keys in SETTINGS.items()
+        for key, (ptype, _) in keys.items() if ptype is not click.STRING])
+    def test_every_key(self, capsys, tmp_path, section, key):
+        changes = {section: {key: "x"}}
+        if key in self.NEEDS:
+            where, other, value = self.NEEDS[key]
+            changes.setdefault(where, {})[other] = value
+        err = self.run(capsys, tmp_path, section, changes)
+        assert f"config error: [{section}] {key}: 'x'" in err, err
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("simulate", "reps", "20.7", "'20.7' is not a valid integer"),
+        ("tune", "samples", "1e5", "'1e5' is not a valid integer"),
+        ("monitor", "stop_on_alarm", "flase", "'flase' is not a valid boolean"),
+        ("simulate", "m_grid", "a,2", "'a,2' is not a grid of int values"),
+        ("tune", "alpha_grid", "0:x:1", "'0:x:1' is not a grid of float values"),
+        ("breakdown", "alpha_grid", "0:x:1", "'0:x:1' is not a grid of float values"),
+        ("simulate", "theta_grid", "0:nan:1", "grid must be start:step:stop"),
+        ("calibrate", "reps", "abc", "'abc' is not a valid integer"),
+    ])
+    def test_named(self, capsys, tmp_path, section, key, value, message):
+        err = self.run(capsys, tmp_path, section, {section: {key: value}})
+        assert f"config error: [{section}] {key}: {message}" in err, err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("counts", "60,20", "pool counts must be three positive integers"),
+        ("p", "0", "p=0 must lie in 1..64"),
+        ("p", "-5", "p=-5 must lie in 1..64"),
+    ])
+    def test_case_study_shapes(self, capsys, tmp_path, key, value, message):
+        err = self.run(capsys, tmp_path, "casestudy", {"casestudy": {key: value}})
+        assert f"config error: {message}" in err, err
+
+    def test_grid_flag(self, capsys):
+        code, out, err = run_cli(["tune", "--alpha-grid", "0:x:1"], capsys=capsys)
+        assert code == 1 and out == "" and "usage error" in err and "--alpha-grid" in err
+
+    def test_defaults_parse(self):
+        for section, keys in SETTINGS.items():
+            for key, (_, default) in keys.items():
+                if default not in (None, REQUIRED):
+                    assert _setting({}, section, key) is not None
+
+
+class TestSeedAndThreads:
+    @pytest.mark.parametrize("command", ["tune", "calibrate", "simulate", "casestudy"])
+    def test_negative_seed(self, capsys, command):
+        code, out, err = run_cli([command, "--seed", "-1"], capsys=capsys)
+        assert code == 1 and out == "" and "usage error" in err and "--seed" in err, err
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    @pytest.mark.parametrize("command,sections,flags", [
+        ("calibrate", {}, ["--gamma", "5", "--k", "2", "--reps", "20", "--alpha", "0.21",
+                           "--d", "0.3"]),
+        ("simulate", {"scenario": {"k": "3"}, "simulate": {"m_grid": "2", "reps": "20"},
+                      "scheme": {"alpha": "0.21", "b": "3.0", "d": "0.5"}}, []),
+        ("simulate", {"scenario": {"k": "3"},
+                      "simulate": {"mode": "arl_vs_epsilon", "eps_grid": "0.1", "reps": "20",
+                                   "cap": "500"},
+                      "scheme": {"alpha": "0.21", "b": "3.0", "d": "0.5"}}, []),
+        ("casestudy", {"casestudy": {"length": "64", "counts": "20,10,10",
+                                     "target_arl": "10", "reps": "20"}}, []),
+    ], ids=["calibrate", "simulate-delay", "simulate-arl", "casestudy"])
+    def test_threads_below_one(self, capsys, tmp_path, command, sections, flags, threads):
+        cfg = write_ini(tmp_path / "t.ini", sections)
+        code, out, err = run_cli([command, "--config", cfg, *flags, "--threads", threads],
+                                 capsys=capsys)
+        assert code == 1 and out == "", err
+        assert f"config error: threads must be >= 1, got {threads}" in err, err
 
 
 class TestUnreadSchemeKeys:
@@ -240,11 +355,13 @@ class TestConfigHandling:
         assert "epsilonn" in err
 
     def test_unknown_section_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "c.ini"
-        cfg.write_text("[modelz]\nepsilon = 0.1\n")
-        code, _, err = run_cli(["breakdown", "--config", str(cfg)], capsys=capsys)
-        assert code == 1
-        assert "modelz" in err
+        # only [scheme] takes a :NAME suffix
+        for section in ["modelz", "breakdown:fine"]:
+            cfg = tmp_path / "c.ini"
+            cfg.write_text(f"[{section}]\nalpha_grid = 0:0.5:1\n")
+            code, _, err = run_cli(["breakdown", "--config", str(cfg)], capsys=capsys)
+            assert code == 1
+            assert section in err
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(["breakdown", "--config", "/nowhere/x.ini"], capsys=capsys)
@@ -259,6 +376,17 @@ class TestConfigHandling:
         assert code == 1
         assert "gamma" in err
 
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "readme.ini"
+        path.write_text(example)
+        cfg = _load_config(str(path))
+        assert {"model", "scenario", "simulate"} <= set(cfg)
+        for section, keys in cfg.items():
+            for key in keys:
+                _setting(cfg, section, key)
+
     def test_flag_overrides_config(self, capsys, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[model]\ntheta1 = 2.0\n\n[breakdown]\nalpha_grid = 0:0.5:1\n")
@@ -266,6 +394,10 @@ class TestConfigHandling:
                                 "--alpha-grid", "0:0.25:0.5"], capsys=capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 4  # header + 3 grid points
+        code, out, _ = run_cli(["breakdown", "--config", str(cfg)], capsys=capsys)
+        assert code == 0
+        assert out.strip().splitlines()[-1].startswith("1.0,")  # the file's grid 0, 0.5, 1
+        assert len(out.strip().splitlines()) == 4
 
 
 class TestMonitorCommand:

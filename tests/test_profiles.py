@@ -98,6 +98,13 @@ class TestBaseline:
         with pytest.raises(ConfigError):
             retain_and_standardize(np.zeros(8), 8, stats)
 
+    @pytest.mark.parametrize("p", [0, -5, 65])
+    def test_p_outside_signal_rejected(self, rng, p):
+        # a negative p once sliced from the end; p = 0 fitted empty stats
+        pool = rng.normal(0.0, 1.0, (10, 64))
+        with pytest.raises(ConfigError, match=f"p={p} must lie in 1..64"):
+            fit_baseline(pool, p)
+
 
 class TestSynthPool:
     def test_deterministic(self):
@@ -130,8 +137,9 @@ class TestSynthPool:
         assert cfg.fault2_magnitude / cfg.fault1_magnitude == 5.0
 
     def test_counts_validated(self):
-        with pytest.raises(ConfigError):
-            synth_pool(ProfileGeneratorConfig(length=64), (0, 1, 1), seed=0)
+        for counts in [(0, 1, 1), (60, 20), (3, 2.5, 2)]:
+            with pytest.raises(ConfigError):
+                synth_pool(ProfileGeneratorConfig(length=64), counts, seed=0)
 
 
 class TestPoolCsv:
@@ -205,6 +213,14 @@ class TestCaseStudy:
         # transient outliers in the faulty stream can only slow the robust scheme
         assert pure.delay.mean <= mixed.delay.mean + 2 * (
             pure.delay.std_error + mixed.delay.std_error)
+
+    @pytest.mark.parametrize("p", [0, -5])
+    def test_p_outside_signal_rejected(self, small_pool, fam, p):
+        with pytest.raises(ConfigError, match=f"p={p} must lie in 1..512"):
+            standardized_pools(small_pool, p)
+        robust = LAlphaScheme(LocalParams(0.21, fam), FusionRule.soft(1.0, 1.5))
+        with pytest.raises(ConfigError, match=f"p={p} must lie in 1..512"):
+            case_study_run(small_pool, [robust], 50.0, p=p, reps=20)
 
     def test_pre_outlier_validation(self, small_pool, fam):
         robust = LAlphaScheme(LocalParams(0.21, fam), FusionRule.soft(1.0, 1.5))
