@@ -82,14 +82,14 @@ SETTINGS = {
 }
 
 
-def _load_config(path: str | None) -> dict[str, dict[str, str]]:
+def _load_config(path: str | None) -> dict[str, dict]:
     if path is None:
         return {}
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    out: dict[str, dict[str, str]] = {}
+    out: dict[str, dict] = {}
     for section in parser.sections():
         keys = SETTINGS.get("scheme" if section.startswith("scheme:") else section)
         if keys is None:
@@ -97,23 +97,34 @@ def _load_config(path: str | None) -> dict[str, dict[str, str]]:
         for key in parser[section]:
             if key not in keys:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-        out[section] = dict(parser[section])
+        # every value is parsed here, so a malformed one fails even where the
+        # command never reads its key
+        out[section] = {key: _parse(section, key, raw) for key, raw in parser[section].items()}
     return out
 
 
-def _setting(cfg, section: str, key: str, flag=None):
-    """The flag, else the file's value parsed by the key's type, else the
-    table's default (None where the caller works it out)."""
-    if flag is not None:
-        return flag
-    ptype, default = SETTINGS[section.split(":", 1)[0]][key]
-    raw = cfg.get(section, {}).get(key, default)
-    if raw is REQUIRED:
-        raise ConfigError(f"missing required key '{key}' (section [{section}])")
+def _parse(section: str, key: str, raw: str):
+    """[section] key's value as written, parsed by the key's type."""
+    ptype = SETTINGS[section.split(":", 1)[0]][key][0]
     try:
-        return None if raw is None else ptype.convert(raw, None, None)
+        if ptype is click.BOOL and not raw.strip():  # click reads an empty value as false
+            ptype.fail("an empty value is not a valid boolean")
+        return ptype.convert(raw, None, None)
     except click.BadParameter as exc:
         raise ConfigError(f"[{section}] {key}: {exc.message}") from None
+
+
+def _setting(cfg, section: str, key: str, flag=None):
+    """The flag, else the file's parsed value, else the table's default
+    (None where the caller works it out)."""
+    if flag is not None:
+        return flag
+    if key in cfg.get(section, {}):
+        return cfg[section][key]
+    default = SETTINGS[section.split(":", 1)[0]][key][1]
+    if default is REQUIRED:
+        raise ConfigError(f"missing required key '{key}' (section [{section}])")
+    return None if default is None else _parse(section, key, default)
 
 
 def _flag(section: str, key: str, help: str = ""):

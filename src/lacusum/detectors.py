@@ -29,10 +29,19 @@ GLR_CHAN2 = "chan2"
 CHAN1_COEF = 0.64
 CHAN2_COEF = 2.0 * (math.sqrt(2.0) - 1.0)
 
-# Observations are consumed in fixed-size blocks per replicate; keeping the
-# block size constant makes sample paths independent of thresholds and of
-# when other replicates stop.
+# Observations are consumed in blocks whose size depends only on the step t a
+# block starts after: t itself, clipped to FIRST_BLOCK .. BLOCK, which gives
+# 8, 8, 16, 32, 64, 64, ....  A short path draws few steps past its alarm, and
+# since the size depends on t alone, sample paths are independent of
+# thresholds and of when other replicates stop.
+FIRST_BLOCK = 8
 BLOCK = 64
+
+
+def block_size(t):
+    """Steps in the block that starts after step t, for t on the schedule
+    0, 8, 16, 32, 64, 128, ...: 8, 8, 16, 32, 64, 64, ...; elementwise on arrays."""
+    return np.clip(t, FIRST_BLOCK, BLOCK)
 
 
 @dataclass(frozen=True)
@@ -345,13 +354,13 @@ class Replicates:
     """Resumable sample paths of replicates rep_offset .. rep_offset + reps - 1.
 
     Row i draws from its own generator, keyed by (seed, rep_offset + i), in
-    fixed blocks of BLOCK steps (the last one cut short at cap), so its path
-    never depends on a threshold, on the other rows or on how often the rows
-    were resumed.  Per row the set keeps the generator, the kernel state, the
-    time t reached and the records of the running maximum of the global
-    statistic: each step at which the statistic exceeds every earlier value,
-    with that value.  The run length at threshold b is the step of the first
-    record >= b, so one advance to a bar answers every b up to the bar.
+    blocks of block_size(t) steps (the last one cut short at cap), so its
+    path never depends on a threshold, on the other rows or on how often the
+    rows were resumed.  Per row the set keeps the generator, the kernel
+    state, the time t reached and the records of the running maximum of the
+    global statistic: each step at which the statistic exceeds every earlier
+    value, with that value.  The run length at threshold b is the step of the
+    first record >= b, so one advance to a bar answers every b up to the bar.
     """
 
     def __init__(self, scheme: Scheme, sampler, reps: int, cap: int, seed: int,
@@ -367,27 +376,35 @@ class Replicates:
         self.records = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
 
     def advance(self, bar: float):
-        """Draw blocks for every row below bar until it reaches bar or the cap."""
-        K, reps = self.sampler.K, self.t.size
+        """Draw blocks for every row below bar until it reaches bar or the cap.
+
+        Rows resumed at different t have different block sizes; each size
+        goes through the kernel as one group.
+        """
         rows = np.flatnonzero((self.top < bar) & (self.t < self.cap))
         while rows.size:
-            t = self.t[rows]
-            width = np.minimum(self.cap - t, BLOCK)
-            # a row in its last block, cut short at cap, may run beside rows in
-            # a full block: its block is padded, and the padded steps ignored
-            B = int(width.max())
-            X = np.zeros((rows.size, K, B))
-            for j, (i, t0, n) in enumerate(zip(rows.tolist(), t.tolist(), width.tolist())):
-                X[j, :, :n] = self.sampler.draw(self.rngs[i], t0, n)
-            path = self.kernel.path(X, None if rows.size == reps else rows)
-            path[np.arange(B) >= width[:, None]] = -np.inf
-            prev = np.maximum.accumulate(
-                np.concatenate([self.top[rows, None], path[:, :-1]], axis=1), axis=1)
-            r, s = np.nonzero(path > prev)
-            self.records.append((rows[r], t[r] + s + 1, path[r, s]))
-            self.top[rows] = np.maximum(prev[:, -1], path[:, -1])
-            self.t[rows] = t + width
+            sizes = block_size(self.t[rows])
+            for B in np.unique(sizes).tolist():
+                self._block(rows[sizes == B], B)
             rows = rows[(self.top[rows] < bar) & (self.t[rows] < self.cap)]
+
+    def _block(self, rows: np.ndarray, B: int):
+        """Advance the given rows, all due a block of B steps, by one block."""
+        t = self.t[rows]
+        width = np.minimum(self.cap - t, B)
+        # a row in its last block, cut short at cap, may run beside rows in a
+        # full block: its block is padded, and the padded steps ignored
+        X = np.zeros((rows.size, self.sampler.K, B))
+        for j, (i, t0, n) in enumerate(zip(rows.tolist(), t.tolist(), width.tolist())):
+            X[j, :, :n] = self.sampler.draw(self.rngs[i], t0, n)
+        path = self.kernel.path(X, None if rows.size == self.t.size else rows)
+        path[np.arange(B) >= width[:, None]] = -np.inf
+        prev = np.maximum.accumulate(
+            np.concatenate([self.top[rows, None], path[:, :-1]], axis=1), axis=1)
+        r, s = np.nonzero(path > prev)
+        self.records.append((rows[r], t[r] + s + 1, path[r, s]))
+        self.top[rows] = np.maximum(prev[:, -1], path[:, -1])
+        self.t[rows] = t + width
 
     def _flat(self):
         """The records as one (rows, steps, values) triple."""
@@ -455,9 +472,10 @@ def run_to_alarm(scheme: Scheme, data: np.ndarray) -> int | None:
     """Smallest n at which the scheme alarms on a (K, T) observation matrix;
     None when it does not alarm within T steps.
 
-    The data go through the kernel in BLOCK-sized slices, so the work stops
-    with the block holding the first alarm.  Non-finite data anywhere in the
-    matrix raise ConfigError before any step is taken.
+    The data go through the kernel in slices of the engine's block schedule,
+    block_size(t), so the work stops with the block holding the first alarm.
+    Non-finite data anywhere in the matrix raise ConfigError before any step
+    is taken.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -465,10 +483,13 @@ def run_to_alarm(scheme: Scheme, data: np.ndarray) -> int | None:
     K, T = data.shape
     _require_finite(data, 1)
     kernel = scheme.kernel(1, K)
-    for t in range(0, T, BLOCK):
-        hit = first_hits(kernel.path(data[None, :, t:t + BLOCK]), scheme.threshold)[0]
+    t = 0
+    while t < T:
+        n = int(block_size(t))
+        hit = first_hits(kernel.path(data[None, :, t:t + n]), scheme.threshold)[0]
         if hit >= 0:
             return t + int(hit) + 1
+        t += n
     return None
 
 

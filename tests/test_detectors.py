@@ -579,15 +579,27 @@ class TestNonFiniteInput:
 
 def lockstep_run_lengths(scheme, sampler, reps, cap, seed, b):
     """Reference engine: every replicate runs its whole path to cap in lock step,
-    in the engine's fixed blocks, and its length is the first step at or above b."""
+    in the engine's block schedule, and its length is the first step at or above b."""
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, i))) for i in range(reps)]
     kernel = scheme.kernel(reps, sampler.K)
-    path = np.hstack([kernel.path(np.stack([sampler.draw(r, t, min(detectors.BLOCK, cap - t))
-                                            for r in rngs]))
-                      for t in range(0, cap, detectors.BLOCK)])
+    starts = [0]
+    while starts[-1] < cap:
+        starts.append(min(starts[-1] + int(detectors.block_size(starts[-1])), cap))
+    path = np.hstack([kernel.path(np.stack([sampler.draw(r, t, end - t) for r in rngs]))
+                      for t, end in zip(starts, starts[1:])])
     hit = path >= b
     alarmed = hit.any(axis=1)
     return np.where(alarmed, hit.argmax(axis=1) + 1, cap), ~alarmed
+
+
+def test_block_schedule():
+    sizes, t = [], 0
+    for _ in range(7):
+        sizes.append(int(detectors.block_size(t)))
+        t += sizes[-1]
+    assert sizes == [8, 8, 16, 32, 64, 64, 64]
+    np.testing.assert_array_equal(detectors.block_size(np.array([0, 8, 16, 32, 64, 128])),
+                                  [8, 8, 16, 32, 64, 64])
 
 
 class TestReplicates:

@@ -191,3 +191,49 @@ class TestMixtureStreamSampler:
         block = sampler.draw(np.random.default_rng(1), 5, 10)  # times 6..15
         assert np.all(block[:, :5] < 15)   # times 6..10 pre-change
         assert np.all(block[:, 5:] > 15)   # times 11..15 post-change
+
+
+def reference_draw(model, scenario, rng, t0, n):
+    """The sampler as first written: the theta array broadcast through
+    rng.normal, and the outliers merged with np.where."""
+    theta = np.full((scenario.K, n), model.nominal.theta0)
+    if scenario.nu != math.inf:
+        post = np.arange(t0 + 1, t0 + n + 1) >= scenario.nu
+        theta[:scenario.m, post] = scenario.theta_post
+    values = rng.normal(theta, model.nominal.sigma, (scenario.K, n))
+    if model.epsilon > 0.0:
+        mask = rng.random((scenario.K, n)) < model.epsilon
+        values = np.where(mask, model.outlier.sample(rng, (scenario.K, n)), values)
+    return values
+
+
+class TestLeanDraw:
+    """The draw that scales and shifts standard normals in place equals the
+    reference form bit for bit.
+
+    A platform whose numpy fuses theta + sigma * z into one rounding step
+    fails here rather than shifting every sample path quietly.
+    """
+
+    GRID = np.linspace(-2.0, 2.0, 41)
+    OUTLIERS = {
+        "gaussian": OutlierSpec.gaussian_outlier(1.0, 3.0),
+        "point_mass": OutlierSpec.point_mass_outlier(4.0),
+        "table": OutlierSpec.table_outlier(GRID, (1.0 - np.abs(GRID) / 2.0) / 2.0),
+    }
+
+    @pytest.mark.parametrize("epsilon,outlier", [
+        (0.0, "gaussian"), (0.1, "gaussian"), (0.2, "point_mass"), (0.3, "table")])
+    @pytest.mark.parametrize("scenario", [
+        ChangeScenario.no_change(6),
+        ChangeScenario(K=6, m=2, nu=13, theta_post=2.5),  # inside the block at t0 = 8
+        ChangeScenario.immediate(6, 3, 2.0),
+    ], ids=["no_change", "change_in_block", "immediate"])
+    def test_draw_matches_reference(self, epsilon, outlier, scenario):
+        model = GrossErrorModel(epsilon, NominalFamily(0.5, 1.5, 1.7), self.OUTLIERS[outlier])
+        sampler = MixtureStreamSampler(model, scenario)
+        lean, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for t0, n in ((0, 8), (8, 8), (16, 16), (32, 3)):
+            got = sampler.draw(lean, t0, n)
+            want = reference_draw(model, scenario, ref, t0, n)
+            assert got.tobytes() == want.tobytes()
