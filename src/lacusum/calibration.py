@@ -14,6 +14,7 @@ simulated twice.
 """
 
 import math
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -120,36 +121,44 @@ def _arl(chunks, b: float) -> float:
     return float(np.mean(np.concatenate([c.run_lengths(b)[0] for c in chunks])))
 
 
-def _window(bar: float) -> float:
-    """Lower end of the stretch below bar that sets the slope of log ARL."""
-    return bar - 0.25 * max(abs(bar), 1.0)
-
-
 def _next_bar(chunks, bar: float, arl: float, gamma: float) -> float:
     """Extrapolate log ARL linearly from the window below bar to gamma.
 
-    The aim is capped at BAR_GROWTH times the ARL at bar, and the raise at
-    the window's scale, so an underestimated slope cannot overshoot far.
+    The window is the top quarter of the scale max(|bar|, 1) below bar.  The
+    aim is capped at BAR_GROWTH times the ARL at bar, and the raise at the
+    scale, so an underestimated slope cannot overshoot far.
     """
-    lo = _window(bar)
-    slope = math.log(arl / _arl(chunks, lo)) / (bar - lo)
     scale = max(abs(bar), 1.0)
+    lo = bar - 0.25 * scale
+    slope = math.log(arl / _arl(chunks, lo)) / (bar - lo)
     step = math.log(min(gamma, BAR_GROWTH * arl) / arl) / slope if slope > 0 else scale
     return bar + min(max(step, 1e-3 * scale), scale)
 
 
-def _root(chunks, gamma: float) -> float:
-    """Smallest b whose ARL on the chunks' paths reaches gamma: just above a record."""
-    parts = [c.jumps() for c in chunks]
-    values = np.concatenate([p[1] for p in parts])
-    order = np.argsort(values, kind="stable")
-    rises = np.concatenate([p[2] for p in parts])[order]
-    reps = sum(c.t.size for c in chunks)
-    arl = (sum(p[0] for p in parts) + np.cumsum(rises)) / reps
-    k = int(np.argmax(arl >= gamma))
-    if not gamma <= arl[k] < np.inf:
-        raise CalibrationError("the paths were not advanced past the ARL target")
-    return float(np.nextafter(values[order][k], np.inf))
+def _root(chunks, bar: float, gamma: float) -> float:
+    """Smallest b whose ARL on the chunks' paths reaches gamma, as it does at bar.
+
+    ARL(b) is nondecreasing and rises only just past a record value, so b is
+    just above the first record value below bar whose ARL just above it
+    reaches gamma: the values are bisected for it.
+    """
+    values = np.unique(np.concatenate([v for c in chunks for _, _, v in c.records]))
+    values = values[values < bar]
+    k = bisect_left(values, True, key=lambda v: _arl(chunks, np.nextafter(v, np.inf)) >= gamma)
+    return float(np.nextafter(values[k], np.inf))
+
+
+def _raise_bars(chunks: list, bar: float, gamma: float, chunk_map) -> tuple[float, int]:
+    """Advance the chunks, replaced in place, to rising bars from bar until
+    their ARL at the bar reaches gamma; the root on their paths and the bars."""
+    bars = 0
+    while True:
+        chunks[:] = chunk_map(_advance, chunks, repeat(bar))
+        bars += 1
+        arl = _arl(chunks, bar)
+        if arl >= gamma:
+            return _root(chunks, bar, gamma), bars
+        bar = _next_bar(chunks, bar, arl, gamma)
 
 
 def _root_on_paths(scheme: Scheme, sampler, gamma: float, pilot: int, reps: int, cap: int,
@@ -157,34 +166,24 @@ def _root_on_paths(scheme: Scheme, sampler, gamma: float, pilot: int, reps: int,
     """The root b on paths advanced to rising bars, the number of bars, and
     the estimate at b read off the paths.
 
-    The first `pilot` replicates are advanced alone until their ARL at the
-    bar reaches gamma; their root is the first bar of the whole set.  Below
-    a bar whose ARL misses gamma on the whole set the root cannot lie, so
-    the records under that bar's slope window are dropped.  The paths are
-    freed on return, before the final estimate draws its own.
+    The first `pilot` replicates are advanced alone from bar 1 until their
+    ARL at the bar reaches gamma; their root is the first bar of the whole
+    set.  The paths are freed on return, before the final estimate draws
+    its own.
     """
     # the pilot alone runs first, so it is split across the workers
     pilot_block = min(REP_BLOCK, -(-pilot // max(threads, 1)))
     starts = [*range(0, pilot, pilot_block), *range(pilot, reps, REP_BLOCK)]
     chunks = [Replicates(scheme, sampler, end - start, cap, seed, start)
               for start, end in zip(starts, starts[1:] + [reps])]
-    group, bar, bars = len(range(0, pilot, pilot_block)), 1.0, 0
+    n = len(range(0, pilot, pilot_block))
+    pilot_chunks = chunks[:n]
     with _chunk_map(min(threads, len(chunks))) as chunk_map:
-        while True:
-            chunks[:group] = chunk_map(_advance, chunks[:group], repeat(bar))
-            bars += 1
-            arl = _arl(chunks[:group], bar)
-            if arl >= gamma and group == len(chunks):
-                break
-            if arl >= gamma:
-                bar, group = _root(chunks[:group], gamma), len(chunks)
-                continue
-            next_bar = _next_bar(chunks[:group], bar, arl, gamma)
-            if group == len(chunks):
-                for c in chunks:
-                    c.prune(_window(bar))
-            bar = next_bar
-    b = _root(chunks, gamma)
+        b, bars = _raise_bars(pilot_chunks, 1.0, gamma, chunk_map)
+        chunks[:n] = pilot_chunks
+        if n < len(chunks):
+            b, more = _raise_bars(chunks, b, gamma, chunk_map)
+            bars += more
     return b, bars, _pooled([c.run_lengths(b) for c in chunks])
 
 
@@ -211,8 +210,8 @@ def calibrate_threshold(scheme: Scheme, source, gamma: float, *,
     CalibrationError is raised.  A cap below gamma is a ConfigError: a mean
     censored at cap never reaches gamma.
     """
-    if gamma < 1:
-        raise ConfigError("gamma must be >= 1")
+    if not 1 <= gamma < math.inf:
+        raise ConfigError(f"gamma must be a finite number >= 1, got {gamma}")
     if min(reps_schedule) < 2:
         raise ConfigError("need at least 2 replicates")
     sampler = _as_sampler(source, K)

@@ -25,7 +25,19 @@ from .errors import ConfigError, NumericError
 from .models import ChangeScenario, GrossErrorModel, NominalFamily, OutlierSpec
 
 REQUIRED = object()  # the default of a key that has none
-_F, _I = click.FLOAT, click.INT
+
+
+class _Finite(click.types.FloatParamType):
+    """Any float except nan and +-inf, which would blind a statistic or break a search."""
+
+    def convert(self, value, param, ctx):
+        x = super().convert(value, param, ctx)
+        if not math.isfinite(x):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return x
+
+
+_F, _I = _Finite(), click.INT
 
 
 class _Grid(click.ParamType):
@@ -41,9 +53,12 @@ class _Grid(click.ParamType):
             parts = [self.cast(p) for p in value.split(":" if ":" in value else ",")]
         except ValueError:
             self.fail(f"{value!r} is not a grid of {self.cast.__name__} values", param, ctx)
+        finite = all(map(math.isfinite, parts))
         if ":" not in value:
+            if not finite:
+                self.fail(f"{value!r} holds a value that is not finite", param, ctx)
             return parts
-        if len(parts) != 3 or not all(map(math.isfinite, parts)) or parts[1] <= 0:
+        if len(parts) != 3 or not finite or parts[1] <= 0:
             self.fail(f"grid must be start:step:stop with step > 0, got {value!r}", param, ctx)
         start, step, stop = parts
         n = int(round((stop - start) / step)) + 1

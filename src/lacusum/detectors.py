@@ -52,7 +52,7 @@ class LocalParams:
     fam: NominalFamily
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:  # NaN too
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
 
 
@@ -99,9 +99,9 @@ class FusionRule:
     def __post_init__(self):
         if self.kind not in ("soft_threshold", "max", "sum"):
             raise ConfigError(f"unknown fusion kind {self.kind!r}")
-        if self.b < 0:
+        if not self.b >= 0:  # NaN too
             raise ConfigError(f"threshold b must be >= 0, got {self.b}")
-        if self.d < 0:
+        if not self.d >= 0:
             raise ConfigError(f"soft threshold d must be >= 0, got {self.d}")
 
     @classmethod
@@ -426,32 +426,6 @@ class Replicates:
         if np.any(censored & (self.t < self.cap)):
             raise ValueError(f"rows were not advanced to b = {b}")
         return lengths, censored
-
-    def prune(self, floor: float):
-        """Drop the records below floor; run lengths stay known for every b >= floor."""
-        rows, steps, values = self._flat()
-        keep = values >= floor
-        self.records = [(rows[keep], steps[keep], values[keep])]
-
-    def jumps(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """How the sum of run lengths grows with the threshold: (base, values, rises).
-
-        At a threshold no higher than every kept record the sum is base; a
-        threshold above a record's value adds that record's rise, the steps
-        from it to the row's next record (or to cap).  The rise past a row's
-        last record is unknown (inf) unless the row reached cap.
-        """
-        rows, steps, values = self._flat()
-        order = np.argsort(rows, kind="stable")
-        rows, steps, values = rows[order], steps[order], values[order]
-        first = np.ones(rows.size, dtype=bool)
-        first[1:] = rows[1:] != rows[:-1]
-        last = np.ones(rows.size, dtype=bool)
-        last[:-1] = first[1:]
-        after = np.append(steps[1:], 0).astype(float)
-        after[last] = np.where(self.t[rows[last]] >= self.cap, self.cap, np.inf)
-        bare = self.t.size - np.count_nonzero(first)  # censored rows with no record kept
-        return int(steps[first].sum()) + bare * self.cap, values, after - steps
 
 
 def simulate_run_lengths(scheme: Scheme, sampler, reps: int, cap: int, seed: int,

@@ -30,9 +30,9 @@ class NominalFamily:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not self.sigma > 0:  # NaN too
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if self.theta1 <= self.theta0:
+        if not self.theta1 > self.theta0:
             raise ConfigError(f"theta1 ({self.theta1}) must exceed theta0 ({self.theta0})")
 
     @property
@@ -66,6 +66,9 @@ class OutlierSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "point_mass", "custom_table"):
             raise ConfigError(f"unknown outlier kind {self.kind!r}")
+        if any(map(math.isnan, (self.mean, self.sd, self.location))):
+            raise ConfigError(f"outlier mean {self.mean}, sd {self.sd} or location "
+                              f"{self.location} is not a number")
         if self.kind == "gaussian" and self.sd <= 0:
             raise ConfigError(f"gaussian outlier sd must be positive, got {self.sd}")
         if self.kind == "custom_table":
@@ -73,12 +76,12 @@ class OutlierSpec:
             dens = np.asarray(self.grid_density, dtype=float)
             if x.ndim != 1 or x.size < 2 or x.shape != dens.shape:
                 raise ConfigError("custom_table needs matching 1-d grids with >= 2 points")
-            if np.any(np.diff(x) <= 0):
+            if not np.all(np.diff(x) > 0):  # NaN too
                 raise ConfigError("custom_table grid must be strictly increasing")
-            if np.any(dens < 0):
+            if not np.all(dens >= 0):
                 raise ConfigError("custom_table densities must be nonnegative")
             total = np.trapezoid(dens, x)
-            if abs(total - 1.0) > 1e-6:
+            if not abs(total - 1.0) <= 1e-6:
                 raise ConfigError(f"custom_table must integrate to 1 (trapezoid), got {total:.8f}")
             object.__setattr__(self, "grid_x", x)
             object.__setattr__(self, "grid_density", dens)

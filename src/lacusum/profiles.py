@@ -337,8 +337,8 @@ def case_study_run(pool: ProfilePool, schemes, target_arl: float = 300.0, *,
     """
     if pre_outlier not in ("fault1", "fault2"):
         raise ConfigError("pre_outlier must be 'fault1' or 'fault2'")
-    if target_arl <= 1:
-        raise ConfigError("target_arl must exceed 1")
+    if not 1 < target_arl < math.inf:
+        raise ConfigError(f"target_arl must be a finite number above 1, got {target_arl}")
     zn, z1, z2 = standardized_pools(pool, p if p is not None else pool.normal.shape[1] // 4)
     pre_out = z1 if pre_outlier == "fault1" else z2
     pre_sampler = PoolStreamSampler(pre_pools=(zn, pre_out), pre_probs=OUTLIER_MIX)

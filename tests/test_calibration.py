@@ -10,6 +10,8 @@ from lacusum import (
     ChangeScenario,
     ConfigError,
     FusionRule,
+    GlrParams,
+    GlrScheme,
     LAlphaScheme,
     LocalParams,
     MixtureStreamSampler,
@@ -116,9 +118,10 @@ class TestCalibrate:
         assert np.all(above >= at_b)
 
     def test_gamma_below_one_rejected(self, fam, model01):
-        with pytest.raises(ConfigError):
-            calibrate_threshold(soft_scheme(fam, 0.21, 1.0, 0.0), model01,
-                                gamma=0.5, seed=0, K=2)
+        for gamma in (0.5, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                calibrate_threshold(soft_scheme(fam, 0.21, 1.0, 0.0), model01,
+                                    gamma=gamma, seed=0, K=2)
 
     def test_cap_below_gamma_rejected_before_simulating(self, fam, model01):
         # a mean censored at cap can never reach gamma
@@ -164,14 +167,30 @@ class TestExactRoot:
         assert len({r.b for r in results}) == 1
         assert len({r.arl for r in results}) == 1
 
-    def test_b_is_the_first_jump_reaching_gamma(self, fam, model01):
-        scheme = soft_scheme(fam, 0.21, 1.0, 0.5)
-        res = calibrate_threshold(scheme, model01, reps_schedule=(100, 300), **self.KW)
+    # each scheme at K = 5 with a gamma it reaches; many of the soft scheme's
+    # records tie at 0.0, the statistic's value until a stream exceeds d
+    ROOT_SCHEMES = {
+        "soft": (lambda fam: soft_scheme(fam, 0.21, 1.0, 0.5), 100.0),
+        "max": (lambda fam: LAlphaScheme(LocalParams(0.21, fam), FusionRule.max_rule(1.0)),
+                100.0),
+        "sum": (lambda fam: LAlphaScheme(LocalParams(0.0, fam), FusionRule.sum_rule(1.0)),
+                100.0),
+        "chan1": (lambda fam: GlrScheme(GlrParams(0.1, variant="chan1"), 1.0, fam=fam), 100.0),
+        "xie_siegmund": (lambda fam: GlrScheme(GlrParams(0.1, 30, "xie_siegmund"), 1.0), 60.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROOT_SCHEMES))
+    def test_b_is_the_first_jump_reaching_gamma(self, fam, model01, name):
+        make, gamma = self.ROOT_SCHEMES[name]
+        scheme = make(fam)
+        res = calibrate_threshold(scheme, model01, gamma, reps_schedule=(100, 300), seed=5,
+                                  K=5)
         sampler = MixtureStreamSampler(model01, ChangeScenario.no_change(5))
-        at_b, _ = simulate_run_lengths(scheme.with_threshold(res.b), sampler, 300, 5000, 5)
+        cap = int(50 * gamma)  # calibrate_threshold's default
+        at_b, _ = simulate_run_lengths(scheme.with_threshold(res.b), sampler, 300, cap, 5)
         below, _ = simulate_run_lengths(scheme.with_threshold(np.nextafter(res.b, 0.0)),
-                                        sampler, 300, 5000, 5)
-        assert at_b.mean() == res.arl.mean >= 100.0 > below.mean()
+                                        sampler, 300, cap, 5)
+        assert at_b.mean() == res.arl.mean >= gamma > below.mean()
 
     def test_draws_at_most_half_of_the_bisection(self, fam, model01):
         # the benchmark's calibration: bracket-and-bisect drew 923,652 steps of

@@ -223,6 +223,9 @@ class TestMalformedInput:
         ("tune", "alpha_grid", "0:x:1", "'0:x:1' is not a grid of float values"),
         ("breakdown", "alpha_grid", "0:x:1", "'0:x:1' is not a grid of float values"),
         ("simulate", "theta_grid", "0:nan:1", "grid must be start:step:stop"),
+        ("simulate", "theta_grid", "1,nan", "'1,nan' holds a value that is not finite"),
+        ("scheme", "b", "nan", "'nan' is not a finite number"),
+        ("calibrate", "gamma", "inf", "'inf' is not a finite number"),
         ("calibrate", "reps", "abc", "'abc' is not a valid integer"),
     ])
     def test_named(self, capsys, tmp_path, section, key, value, message):
@@ -250,9 +253,14 @@ class TestMalformedInput:
         err = self.run(capsys, tmp_path, "casestudy", {"casestudy": {key: value}})
         assert f"config error: {message}" in err, err
 
-    def test_grid_flag(self, capsys):
-        code, out, err = run_cli(["tune", "--alpha-grid", "0:x:1"], capsys=capsys)
-        assert code == 1 and out == "" and "usage error" in err and "--alpha-grid" in err
+    @pytest.mark.parametrize("argv,flag", [
+        (["tune", "--alpha-grid", "0:x:1"], "--alpha-grid"),
+        # a NaN threshold would let the monitor run and never alarm
+        (["monitor", "--alpha", "0.21", "--b", "nan", "--d", "0.5"], "--b"),
+    ], ids=["alpha-grid", "b-nan"])
+    def test_malformed_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(argv, stdin_text="x1,x2\n0.4,0.2\n2.0,1.8\n", capsys=capsys)
+        assert code == 1 and out == "" and "usage error" in err and flag in err, err
 
     def test_defaults_parse(self):
         for section, keys in SETTINGS.items():

@@ -131,6 +131,10 @@ class TestIncrement:
     def test_alpha_validation(self, fam):
         with pytest.raises(ConfigError):
             LocalParams(-0.1, fam)
+        # a NaN parameter would blind a live monitor: no scheme, so no monitor
+        with pytest.raises(ConfigError):
+            StreamMonitor(LAlphaScheme(LocalParams(math.nan, fam), FusionRule.soft(1.0, 0.5)),
+                          K=2)
 
 
 class TestBank:
@@ -206,6 +210,10 @@ class TestFusion:
             FusionRule.soft(b=-1.0, d=0.0)
         with pytest.raises(ConfigError):
             FusionRule.soft(b=1.0, d=-0.5)
+        with pytest.raises(ConfigError):
+            FusionRule.soft(b=math.nan, d=0.0)
+        with pytest.raises(ConfigError):
+            FusionRule.soft(b=1.0, d=math.nan)
         with pytest.raises(ConfigError):
             FusionRule(kind="median", b=1.0)
 
@@ -656,15 +664,3 @@ class TestReplicates:
             np.testing.assert_array_equal(paths.run_lengths(b)[0], oracle[0])
             np.testing.assert_array_equal(paths.run_lengths(b)[1], oracle[1])
         assert paths.t.max() == self.CAP and paths.records[-1][1].max() <= self.CAP
-
-    def test_jumps_price_every_threshold(self, fam, model01):
-        # base plus the rises of the records below b is the sum of lengths at b
-        scheme = ALL_SCHEMES["soft"](fam)
-        sampler = MixtureStreamSampler(model01, ChangeScenario.no_change(5))
-        paths = detectors.Replicates(scheme, sampler, 20, self.CAP, seed=4)
-        paths.advance(3.0)
-        paths.prune(1.0)
-        base, values, rises = paths.jumps()
-        for b in np.linspace(1.0, 3.0, 9):
-            below = values < b
-            assert base + rises[below].sum() == paths.run_lengths(b)[0].sum()

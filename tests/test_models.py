@@ -28,6 +28,11 @@ class TestNominalFamily:
             NominalFamily(1.0, 1.0)
         with pytest.raises(ConfigError):
             NominalFamily(2.0, 1.0)
+        for nan_at in range(3):
+            args = [0.0, 1.0, 1.0]
+            args[nan_at] = math.nan
+            with pytest.raises(ConfigError):
+                NominalFamily(*args)
 
     def test_pdf_standard_normal_peak(self, fam):
         assert nominal_pdf(0.0, 0.0, fam) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-12)
@@ -50,6 +55,11 @@ class TestOutlierSpec:
     def test_gaussian_validation(self):
         with pytest.raises(ConfigError):
             OutlierSpec.gaussian_outlier(0.0, sd=-1.0)
+        for spec in (dict(mean=math.nan), dict(sd=math.nan)):
+            with pytest.raises(ConfigError):
+                OutlierSpec.gaussian_outlier(**spec)
+        with pytest.raises(ConfigError):
+            OutlierSpec.point_mass_outlier(math.nan)
 
     def test_point_mass_has_no_density(self):
         pm = OutlierSpec.point_mass_outlier(2.0)
@@ -63,6 +73,11 @@ class TestOutlierSpec:
         x = np.linspace(0, 1, 11)
         with pytest.raises(ConfigError):
             OutlierSpec.table_outlier(x, np.full(11, 2.0))
+        nan_density, nan_grid = np.ones(11), x.copy()
+        nan_density[5] = nan_grid[5] = math.nan
+        for grid, density in ((x, nan_density), (nan_grid, np.ones(11))):
+            with pytest.raises(ConfigError):
+                OutlierSpec.table_outlier(grid, density)
 
     def test_table_pdf_and_moments(self):
         # symmetric triangle on [-1, 1]: density 1 - |x|

@@ -226,6 +226,8 @@ class TestCaseStudy:
         robust = LAlphaScheme(LocalParams(0.21, fam), FusionRule.soft(1.0, 1.5))
         with pytest.raises(ConfigError):
             case_study_run(small_pool, [robust], 50.0, pre_outlier="fault3")
+        with pytest.raises(ConfigError):
+            case_study_run(small_pool, [robust], math.nan)
 
     def test_end_to_end_determinism(self, small_pool, fam):
         robust = LAlphaScheme(LocalParams(0.21, fam), FusionRule.soft(1.0, 1.5), "r")
