@@ -8,7 +8,6 @@ from .breakdown import (
     BreakdownReport,
     alpha_opt,
     breakdown_grid,
-    breakdown_point,
     breakdown_report,
     density_power_divergence,
     increment_sup,
@@ -70,13 +69,9 @@ from .profiles import (
     case_study_run,
     fit_baseline,
     haar_transform,
-    inverse_haar_transform,
     load_pool,
-    read_signals_csv,
-    retain_and_standardize,
     save_pool,
     synth_pool,
-    write_signals_csv,
 )
 from .tuning import (
     GridRow,
@@ -87,7 +82,6 @@ from .tuning import (
     d_opt,
     info_number,
     info_number_closed_form,
-    solve_lambda,
     solve_mgf_root,
     tuning_grid,
 )

@@ -112,19 +112,15 @@ def m_alpha(fam: NominalFamily, alpha: float) -> float:
     return increment_sup(fam, alpha).value
 
 
-def breakdown_point(fam: NominalFamily, alpha: float) -> float:
-    """False-alarm breakdown point of the scheme at this alpha.
-
-    Zero when M(alpha) is infinite while the divergence is finite, which is
-    exactly the alpha = 0 (classical CUSUM) case for Gaussian families.  The
-    divergence is always finite for a Gaussian location family, so the other
-    infinite cases of the general theory cannot occur here.
-    """
-    return breakdown_report(fam, alpha).eps_star
-
-
 def breakdown_report(fam: NominalFamily, alpha: float) -> BreakdownReport:
-    """Breakdown point together with its two ingredients."""
+    """Breakdown point of the scheme at this alpha, with its two ingredients.
+
+    eps_star is zero when M(alpha) is infinite while the divergence is
+    finite, which is exactly the alpha = 0 (classical CUSUM) case for
+    Gaussian families.  The divergence is always finite for a Gaussian
+    location family, so the other infinite cases of the general theory
+    cannot occur here.
+    """
     d = density_power_divergence(fam, alpha)
     M = m_alpha(fam, alpha)
     eps = 0.0 if math.isinf(M) else d / (d + (1.0 + alpha) * M)
@@ -141,10 +137,6 @@ def breakdown_grid(fam: NominalFamily, alpha_max: float = 2.0,
             for a in np.round(np.arange(n_pts) * step, 10)]
 
 
-def alpha_opt(fam: NominalFamily, alpha_max: float = 2.0, step: float = 0.01) -> float:
-    """Grid argmax of the breakdown point; ties break toward smaller alpha."""
-    best_alpha, best = 0.0, 0.0
-    for report in breakdown_grid(fam, alpha_max, step):
-        if report.eps_star > best:
-            best, best_alpha = report.eps_star, report.alpha
-    return best_alpha
+def alpha_opt(reports: list[BreakdownReport]) -> BreakdownReport:
+    """The breakdown grid's report with the largest eps_star; ties go to the smaller alpha."""
+    return max(reports, key=lambda r: (r.eps_star, -r.alpha))

@@ -43,12 +43,6 @@ class RunEstimate:
     reps: int
     censored: int
 
-    @property
-    def flagged(self) -> bool:
-        """True when more than 20% of replicates were censored; the mean is
-        then only a lower bound."""
-        return self.censored > 0.2 * self.reps
-
     @classmethod
     def from_lengths(cls, lengths: np.ndarray, censored: np.ndarray) -> "RunEstimate":
         n = len(lengths)
@@ -98,8 +92,8 @@ def estimate_arl(scheme: Scheme, source, reps: int, cap: int, seed: int,
     model with K streams) and the detection delay (a sampler with the change
     at time 1).  Replicates run in chunks of REP_BLOCK with seeds derived
     from (seed, replicate index), so the result is identical for every
-    worker count.  Censored replicates contribute the cap, so a heavily
-    censored estimate (flagged) is a lower bound on the true mean.
+    worker count.  Censored replicates contribute the cap, so a censored
+    estimate is a lower bound on the true mean.
     """
     if reps < 2:
         raise ConfigError("need at least 2 replicates")

@@ -285,11 +285,7 @@ def tune(config_path, seed, output, epsilon, alpha_grid, samples, method, gamma,
                                  n_samples=get("samples", samples), seed=seed)
     gamma, k, m = get("gamma", gamma), get("k", k), get("m", m)
     rows = tuning.tuning_grid(model.epsilon, model, alpha_max=alpha_max, step=step, qc=qc)
-    usable = [r for r in rows if r.objective is not None]
-    if not usable:
-        raise NumericError("no grid point admits a positive MGF root "
-                           "(contamination beyond every breakdown point?)")
-    best = max(usable, key=lambda r: r.objective)
+    best = tuning.alpha_oracle(rows)
     lam = best.lambda_
     d = tuning.d_opt(lam, k, m, gamma)
     b = tuning.b_gamma(lam, k, d, gamma)
@@ -317,7 +313,7 @@ def breakdown_cmd(config_path, output, alpha_grid, theta0, theta1, sigma):
         writer.writerow(["alpha", "d_alpha", "m_alpha", "eps_star"])
         for r in reports:
             writer.writerow([r.alpha, r.d_alpha, r.m_alpha, r.eps_star])
-    best = max(reports, key=lambda r: (r.eps_star, -r.alpha))
+    best = bkd.alpha_opt(reports)
     click.echo(f"alpha_opt={best.alpha:.4g} eps_star={best.eps_star:.4g}", err=True)
 
 

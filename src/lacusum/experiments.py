@@ -140,58 +140,48 @@ def arl_vs_epsilon_curve(schemes, model: GrossErrorModel, eps_grid, reps: int,
     return points
 
 
-@dataclass(frozen=True)
-class TuningCurveGrids:
-    """Grids behind the four diagnostic curve families."""
-
-    theta_grid: tuple = tuple(np.round(np.arange(0.6, 4.001, 0.05), 10))
-    info_alphas: tuple = (0.21, 0.51)
-    eff_alpha_max: float = 1.0
-    eff_alpha_step: float = 0.01
-    eff_epsilons: tuple = (0.0, 0.05, 0.1)
-    eps_grid: tuple = tuple(np.round(np.arange(0.0, 0.1501, 0.01), 10))
-    eps_curve_alpha: float = 0.21
-    breakdown_alpha_max: float = 2.0
-    breakdown_step: float = 0.01
+# grids behind the four diagnostic curve families
+THETA_GRID = tuple(np.round(np.arange(0.6, 4.001, 0.05), 10))
+INFO_ALPHAS = (0.21, 0.51)
+EFF_ALPHA_MAX, EFF_ALPHA_STEP = 1.0, 0.01
+EFF_EPSILONS = (0.0, 0.05, 0.1)
+EPS_GRID = tuple(np.round(np.arange(0.0, 0.1501, 0.01), 10))
+EPS_CURVE_ALPHA = 0.21
+BREAKDOWN_ALPHA_MAX, BREAKDOWN_STEP = 2.0, 0.01
 
 
-def tuning_curves(model: GrossErrorModel, grids: TuningCurveGrids | None = None,
-                  qc: QuadratureConfig | None = None) -> dict[str, list[tuple]]:
-    """CSV-ready series for the four tuning diagnostics.
+def tuning_curves(model: GrossErrorModel) -> dict[str, list[tuple]]:
+    """CSV-ready series for the four tuning diagnostics, by quadrature.
 
     info_vs_theta:      (alpha, theta, info)
     efficiency_vs_alpha:(epsilon, alpha, efficiency)
     efficiency_vs_eps:  (epsilon, efficiency)  at the curve alpha
     breakdown_vs_alpha: (alpha, d_alpha, m_alpha, eps_star)
     """
-    grids = grids or TuningCurveGrids()
-    qc = qc or QuadratureConfig()
-    fam = model.nominal
+    qc = QuadratureConfig()
 
     with warnings.catch_warnings():
         # the diagnostic scan deliberately covers shifts below theta1
         warnings.simplefilter("ignore", UserWarning)
         info_series = [(a, th, info_number(float(th), 0.0, a, model, qc))
-                       for a in grids.info_alphas for th in grids.theta_grid]
+                       for a in INFO_ALPHAS for th in THETA_GRID]
 
     eff_alpha_series = []
-    for eps in grids.eff_epsilons:
-        for row in tuning_grid(float(eps), model, grids.eff_alpha_max,
-                               grids.eff_alpha_step, qc):
+    for eps in EFF_EPSILONS:
+        for row in tuning_grid(float(eps), model, EFF_ALPHA_MAX, EFF_ALPHA_STEP, qc):
             if row.efficiency is not None:
                 eff_alpha_series.append((float(eps), row.alpha, row.efficiency))
 
     eff_eps_series = []
-    a = grids.eps_curve_alpha
-    for eps in grids.eps_grid:
+    a = EPS_CURVE_ALPHA
+    for eps in EPS_GRID:
         rows = tuning_grid(float(eps), model, a, a, qc)  # just alpha in {0, a}
         e = next((r.efficiency for r in rows if r.alpha == a), None)
         if e is not None:
             eff_eps_series.append((float(eps), e))
 
     bd_series = [(r.alpha, r.d_alpha, r.m_alpha, r.eps_star)
-                 for r in breakdown_grid(fam, grids.breakdown_alpha_max,
-                                         grids.breakdown_step)]
+                 for r in breakdown_grid(model.nominal, BREAKDOWN_ALPHA_MAX, BREAKDOWN_STEP)]
 
     return {
         "info_vs_theta": info_series,

@@ -32,6 +32,9 @@ class NominalFamily:
     def __post_init__(self):
         if not self.sigma > 0:  # NaN too
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        if not (math.isfinite(self.theta0) and math.isfinite(self.theta1)):
+            raise ConfigError(f"theta0 ({self.theta0}) and theta1 ({self.theta1}) "
+                              "must be finite")
         if not self.theta1 > self.theta0:
             raise ConfigError(f"theta1 ({self.theta1}) must exceed theta0 ({self.theta0})")
 
@@ -217,6 +220,9 @@ class ChangeScenario:
             raise ConfigError(f"m must lie in [1, K], got m={self.m}, K={self.K}")
         if not (self.nu == math.inf or (float(self.nu).is_integer() and self.nu >= 1)):
             raise ConfigError(f"nu must be a positive integer or inf, got {self.nu}")
+        if math.isnan(self.theta_post) or (math.isinf(self.theta_post) and self.nu != math.inf):
+            raise ConfigError(f"theta_post must be a number, and finite unless nu = inf; "
+                              f"got {self.theta_post} at nu = {self.nu}")
 
     @classmethod
     def no_change(cls, K: int) -> "ChangeScenario":
@@ -253,7 +259,7 @@ class MixtureStreamSampler:
         sc, model = self.scenario, self.model
         theta = model.nominal.theta0
         if t0 + n >= sc.nu:  # the change falls at or before the block's last step
-            theta = np.full((sc.K, n), theta)
+            theta = np.full((sc.K, n), theta, dtype=float)
             theta[:sc.m, max(int(sc.nu) - 1 - t0, 0):] = sc.theta_post
         return model.sample(rng, theta, (sc.K, n))
 

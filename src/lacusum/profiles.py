@@ -52,32 +52,12 @@ def haar_transform(signal) -> np.ndarray:
     return out
 
 
-def inverse_haar_transform(coefficients) -> np.ndarray:
-    """Inverse of haar_transform; provided for round-trip verification."""
-    c = np.asarray(coefficients, dtype=float)
-    _check_dyadic(c.size)
-    a = c[:1].copy()
-    pos = 1
-    while pos < c.size:
-        detail = c[pos:2 * pos]
-        nxt = np.empty(2 * pos)
-        nxt[0::2] = (a + detail) / SQRT2
-        nxt[1::2] = (a - detail) / SQRT2
-        a = nxt
-        pos *= 2
-    return a
-
-
 @dataclass(frozen=True)
 class BaselineStats:
     """Per-coefficient mean and standard deviation of the in-control pool."""
 
     mu_hat: np.ndarray
     sigma_hat: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return len(self.mu_hat)
 
 
 def _transform_pool(pool, p: int) -> np.ndarray:
@@ -100,16 +80,6 @@ def fit_baseline(training_pool, p: int) -> BaselineStats:
     if degenerate.size:
         raise DegenerateCoefficientError(int(degenerate[0]))
     return BaselineStats(mu_hat=mu, sigma_hat=sd)
-
-
-def retain_and_standardize(coefficients, p: int, stats: BaselineStats) -> np.ndarray:
-    """z-score the first p coefficients against the fitted baseline."""
-    c = np.asarray(coefficients, dtype=float)
-    if p != stats.p:
-        raise ConfigError(f"stats were fitted for p={stats.p}, got p={p}")
-    if p > c.size:
-        raise ConfigError(f"p={p} exceeds coefficient count {c.size}")
-    return (c[:p] - stats.mu_hat) / stats.sigma_hat
 
 
 # ---------------------------------------------------------------------------
@@ -213,24 +183,12 @@ def synth_pool(config: ProfileGeneratorConfig | None = None,
 POOL_FILES = {"normal": "normal.csv", "fault1": "fault1.csv", "fault2": "fault2.csv"}
 
 
-def write_signals_csv(signals: np.ndarray, path) -> None:
-    """One signal per row, plain comma-separated values."""
-    np.savetxt(path, np.asarray(signals, dtype=float), delimiter=",")
-
-
-def read_signals_csv(path) -> np.ndarray:
-    signals = np.loadtxt(path, delimiter=",", ndmin=2)
-    if signals.shape[1] < 2:
-        raise ConfigError(f"{path}: expected one signal per row")
-    return signals
-
-
 def save_pool(pool: ProfilePool, directory) -> None:
-    """Write the three pools as normal.csv / fault1.csv / fault2.csv."""
+    """Write the three pools as normal.csv / fault1.csv / fault2.csv, one signal per row."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for name, filename in POOL_FILES.items():
-        write_signals_csv(getattr(pool, name), directory / filename)
+        np.savetxt(directory / filename, getattr(pool, name), delimiter=",")
 
 
 def load_pool(directory) -> ProfilePool:
@@ -241,7 +199,10 @@ def load_pool(directory) -> ProfilePool:
         path = directory / filename
         if not path.exists():
             raise ConfigError(f"missing pool file: {path}")
-        arrays[name] = read_signals_csv(path)
+        signals = np.loadtxt(path, delimiter=",", ndmin=2)
+        if signals.shape[1] < 2:
+            raise ConfigError(f"{path}: expected one signal per row")
+        arrays[name] = signals
     return ProfilePool(**arrays)
 
 

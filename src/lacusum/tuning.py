@@ -90,6 +90,18 @@ def mixture_nodes(model: GrossErrorModel, theta: float, n_nodes: int):
     return np.concatenate(xs), np.concatenate(ws)
 
 
+def _support(model: GrossErrorModel, thetas, qc: QuadratureConfig) -> list[tuple]:
+    """(x, weights) under h_theta for each theta in turn, per the chosen method.
+
+    Monte Carlo draws qc.n_samples values at each theta from one
+    default_rng(qc.seed), weights None; quadrature returns mixture_nodes.
+    """
+    if qc.method == "monte_carlo":
+        rng = np.random.default_rng(qc.seed)
+        return [(model.sample(rng, theta, qc.n_samples), None) for theta in thetas]
+    return [mixture_nodes(model, theta, QUAD_NODES) for theta in thetas]
+
+
 def info_number_closed_form(theta: float, alpha: float) -> float:
     """Contamination-free info number for the (0, 1, 1)-normalized family."""
     if alpha == 0.0:
@@ -118,12 +130,14 @@ def info_number(theta: float, epsilon: float, alpha: float, model: GrossErrorMod
                       stacklevel=2)
     if epsilon == 0.0 and fam.is_standard:
         return info_number_closed_form(theta, alpha)
-    y, w = _increment_values(model, theta, alpha, qc)
+    p = LocalParams(alpha=alpha, fam=fam)
+    (x, w), = _support(model, (theta,), qc)
+    y = lalpha_increment(x, p)
     if w is None:
         return float(np.mean(y))
     coarse = float(np.dot(w, y))
     x2, w2 = mixture_nodes(model, theta, 2 * QUAD_NODES - 1)
-    fine = float(np.dot(w2, lalpha_increment(x2, LocalParams(alpha=alpha, fam=fam))))
+    fine = float(np.dot(w2, lalpha_increment(x2, p)))
     residual = abs(fine - coarse)
     if residual > max(QUAD_TOLERANCE, 1e-8 * max(1.0, abs(fine))):
         raise QuadratureError(f"info quadrature residual {residual:.3e}", residual=residual)
@@ -187,32 +201,6 @@ def solve_mgf_root(values: np.ndarray, weights: np.ndarray | None = None,
     return 0.5 * (lo + hi)
 
 
-def _increment_values(model: GrossErrorModel, theta: float, alpha: float,
-                      qc: QuadratureConfig):
-    """(Y values, weights) for the increment under h_theta, per the chosen method."""
-    p = LocalParams(alpha=alpha, fam=model.nominal)
-    if qc.method == "monte_carlo":
-        x = model.sample(np.random.default_rng(qc.seed), theta, qc.n_samples)
-        return lalpha_increment(x, p), None
-    x, w = mixture_nodes(model, theta, QUAD_NODES)
-    return lalpha_increment(x, p), w
-
-
-def solve_lambda(epsilon: float, alpha: float, model: GrossErrorModel,
-                 qc: QuadratureConfig | None = None) -> float:
-    """Positive root lambda(eps, alpha) of the pre-change increment MGF.
-
-    At (eps, alpha) = (0, 0) the increment is the log-likelihood ratio and
-    E_{f0}[f1/f0] = 1 identically, so the root is exactly 1.
-    """
-    qc = qc or QuadratureConfig()
-    model = model.with_epsilon(epsilon)
-    if epsilon == 0.0 and alpha == 0.0:
-        return 1.0
-    y, w = _increment_values(model, model.nominal.theta0, alpha, qc)
-    return solve_mgf_root(y, w)
-
-
 @dataclass(frozen=True)
 class GridRow:
     """One alpha grid point: root, info number, objective, efficiency."""
@@ -240,14 +228,7 @@ def tuning_grid(epsilon: float, model: GrossErrorModel, alpha_max: float = 2.0,
     n_pts = int(round(alpha_max / step)) + 1
     alphas = np.round(np.arange(n_pts) * step, 10)
 
-    if qc.method == "monte_carlo":
-        rng = np.random.default_rng(qc.seed)
-        x0 = model.sample(rng, fam.theta0, qc.n_samples)
-        x1 = model.sample(rng, fam.theta1, qc.n_samples)
-        w0 = w1 = None
-    else:
-        x0, w0 = mixture_nodes(model, fam.theta0, QUAD_NODES)
-        x1, w1 = mixture_nodes(model, fam.theta1, QUAD_NODES)
+    (x0, w0), (x1, w1) = _support(model, (fam.theta0, fam.theta1), qc)
 
     def averaged(values, weights):
         return float(np.mean(values)) if weights is None else float(np.dot(weights, values))
@@ -276,17 +257,13 @@ def tuning_grid(epsilon: float, model: GrossErrorModel, alpha_max: float = 2.0,
     return rows
 
 
-def alpha_oracle(epsilon: float, model: GrossErrorModel, alpha_max: float = 2.0,
-                 step: float = 0.01, qc: QuadratureConfig | None = None) -> float:
-    """Grid argmax of lambda * I at theta1; ties break toward smaller alpha."""
-    rows = tuning_grid(epsilon, model, alpha_max, step, qc)
-    best_alpha, best = None, -math.inf
-    for r in rows:
-        if r.objective is not None and r.objective > best:
-            best, best_alpha = r.objective, r.alpha
-    if best_alpha is None:
-        raise NumericError("no grid point admits a positive MGF root")
-    return best_alpha
+def alpha_oracle(rows: list[GridRow]) -> GridRow:
+    """The tuning grid's row that maximizes lambda * I; ties go to the smaller alpha."""
+    usable = [r for r in rows if r.objective is not None]
+    if not usable:
+        raise NumericError("no grid point admits a positive MGF root "
+                           "(contamination beyond every breakdown point?)")
+    return max(usable, key=lambda r: r.objective)
 
 
 # ---------------------------------------------------------------------------

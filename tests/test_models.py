@@ -34,6 +34,12 @@ class TestNominalFamily:
             with pytest.raises(ConfigError):
                 NominalFamily(*args)
 
+    @pytest.mark.parametrize("theta0,theta1", [(0.0, math.inf), (-math.inf, 1.0)])
+    def test_infinite_location_rejected(self, theta0, theta1):
+        # an infinite theta1 once built a monitor whose global statistic stayed 0
+        with pytest.raises(ConfigError, match="must be finite"):
+            NominalFamily(theta0, theta1)
+
     def test_pdf_standard_normal_peak(self, fam):
         assert nominal_pdf(0.0, 0.0, fam) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-12)
         assert nominal_pdf(0.0, 0.0, fam) == pytest.approx(0.3989422804, abs=1e-9)
@@ -142,6 +148,12 @@ class TestChangeScenario:
         with pytest.raises(ConfigError):
             ChangeScenario(K=10, m=1, nu=0, theta_post=1.0)
 
+    @pytest.mark.parametrize("nu,theta_post", [
+        (1, math.nan), (math.inf, math.nan), (1, math.inf), (5, -math.inf)])
+    def test_non_finite_theta_post_rejected(self, nu, theta_post):
+        with pytest.raises(ConfigError, match="theta_post"):
+            ChangeScenario(K=3, m=1, nu=nu, theta_post=theta_post)
+
     def test_theta_post_below_theta1_rejected(self, fam, model01):
         scenario = ChangeScenario(K=2, m=1, nu=1, theta_post=0.5)
         with pytest.raises(ConfigError):
@@ -206,6 +218,16 @@ class TestMixtureStreamSampler:
         block = sampler.draw(np.random.default_rng(1), 5, 10)  # times 6..15
         assert np.all(block[:, :5] < 15)   # times 6..10 pre-change
         assert np.all(block[:, 5:] > 15)   # times 11..15 post-change
+
+    @pytest.mark.parametrize("scenario", [ChangeScenario.immediate(2, 1, 2.5),
+                                          ChangeScenario(K=2, m=1, nu=4, theta_post=2.5)])
+    def test_integer_family_draws_like_float(self, scenario):
+        # an integer theta0 once made the theta array integer, truncating theta_post
+        out = OutlierSpec.gaussian_outlier(0.0, 3.0)
+        draws = [MixtureStreamSampler(GrossErrorModel(0.1, fam, out), scenario)
+                 .draw(np.random.default_rng(8), 0, 8)
+                 for fam in (NominalFamily(0, 1), NominalFamily(0.0, 1.0))]
+        assert draws[0].tobytes() == draws[1].tobytes()
 
 
 def reference_draw(model, scenario, rng, t0, n):

@@ -13,20 +13,23 @@ import pytest
 
 from lacusum import (
     ConfigError,
+    GridRow,
     MgfDivergenceError,
     NoPositiveRootError,
+    NumericError,
     QuadratureConfig,
     arl_lower_bound,
     b_gamma,
     d_opt,
     info_number,
     info_number_closed_form,
-    solve_lambda,
     solve_mgf_root,
     tuning_grid,
 )
 from lacusum import tuning
-from lacusum.tuning import _increment_values, alpha_oracle
+from lacusum.tuning import alpha_oracle
+
+from _oracles import increment_values, solve_lambda
 
 QUAD = QuadratureConfig.quadrature()
 
@@ -221,7 +224,7 @@ class TestNewtonSolver:
     @pytest.mark.parametrize("qc", [QUAD, QuadratureConfig.monte_carlo(1_000_000, seed=0)],
                              ids=["quadrature", "monte_carlo"])
     def test_root_closes_the_equation(self, model01, alpha, qc):
-        y, w = _increment_values(model01, 0.0, alpha, qc)
+        y, w = increment_values(model01, 0.0, alpha, qc)
         lam = solve_mgf_root(y, w)
         phi = np.mean(np.exp(lam * y)) if w is None else np.dot(w / w.sum(), np.exp(lam * y))
         assert lam > 0
@@ -233,7 +236,7 @@ class TestNewtonSolver:
         for r in rows:
             # the oracle runs far below the solver's tolerance: bisection at
             # the same tolerance may itself sit up to tolerance / phi' away
-            y, w = _increment_values(model01, 0.0, r.alpha, QUAD)
+            y, w = increment_values(model01, 0.0, r.alpha, QUAD)
             oracle = bisection_mgf_root(y, w, 1e-12)
             slope = np.dot(w / w.sum(), y * np.exp(oracle * y))
             assert abs(r.lambda_ - oracle) < tuning.QUAD_TOLERANCE / slope, r.alpha
@@ -277,15 +280,20 @@ class TestEfficiency:
 class TestAlphaOracle:
     def test_idealized_oracle_is_zero(self, model0):
         # exact objective is strictly decreasing in alpha at eps = 0
-        assert alpha_oracle(0.0, model0, alpha_max=1.0, step=0.05, qc=QUAD) == 0.0
+        assert alpha_oracle(tuning_grid(0.0, model0, 1.0, 0.05, QUAD)).alpha == 0.0
         # Monte Carlo: the decrease dominates sampling noise at this step size
         qc = QuadratureConfig.monte_carlo(200_000, seed=1)
-        assert alpha_oracle(0.0, model0, alpha_max=1.0, step=0.25, qc=qc) == 0.0
+        assert alpha_oracle(tuning_grid(0.0, model0, 1.0, 0.25, qc)).alpha == 0.0
 
     def test_contaminated_oracle_location(self, model01):
         # deterministic quadrature: exact argmax of lambda*I is at 0.24
-        a = alpha_oracle(0.1, model01, alpha_max=1.0, step=0.01, qc=QUAD)
+        a = alpha_oracle(tuning_grid(0.1, model01, 1.0, 0.01, QUAD)).alpha
         assert a == pytest.approx(0.24, abs=1e-12)
+
+    def test_ties_go_to_smaller_alpha(self):
+        rows = [GridRow(0.0, None, None, None, None), GridRow(0.1, 1.0, 0.5, 0.5, None),
+                GridRow(0.2, 1.0, 0.5, 0.5, None), GridRow(0.3, 1.0, 0.4, 0.4, None)]
+        assert alpha_oracle(rows) is rows[1]
 
     def test_objective_unimodal(self, model01):
         rows = tuning_grid(0.1, model01, alpha_max=1.0, step=0.02, qc=QUAD)
@@ -301,8 +309,8 @@ class TestAlphaOracle:
         model = GrossErrorModel(0.45, fam, OutlierSpec.point_mass_outlier(2.7))
         rows = tuning_grid(0.45, model, alpha_max=0.4, step=0.1, qc=QUAD)
         assert all(r.lambda_ is None for r in rows)
-        with pytest.raises(Exception):
-            alpha_oracle(0.45, model, alpha_max=0.4, step=0.1, qc=QUAD)
+        with pytest.raises(NumericError, match="no grid point admits a positive MGF root"):
+            alpha_oracle(rows)
 
 
 class TestDesignFormulas:
