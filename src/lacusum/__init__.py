@@ -61,13 +61,11 @@ from .models import (
     sample_matrix,
 )
 from .profiles import (
-    BaselineStats,
     CaseStudyRow,
     PoolStreamSampler,
     ProfileGeneratorConfig,
     ProfilePool,
     case_study_run,
-    fit_baseline,
     haar_transform,
     load_pool,
     save_pool,

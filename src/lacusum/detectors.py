@@ -303,8 +303,9 @@ class WindowGlr:
         """Global statistic after each step of a (n, K, B) block, shape (n, B).
 
         The block feeds the given rows (every row when None), in that order.
-        Rows that have seen different numbers of observations scan only
-        their own filled part of the window.
+        Each step scans the offsets of the longest-filled row for all rows: a
+        shorter row's extra offsets hold zeros, which only divide its tail
+        sums by a larger sqrt(j), so their terms never exceed its own maximum.
         """
         buf = self.buf if rows is None else self.buf[rows]
         filled = self.filled if rows is None else self.filled[rows]
@@ -313,12 +314,7 @@ class WindowGlr:
             buf[:, :, :-1] = buf[:, :, 1:]
             buf[:, :, -1] = X[:, :, s]
             filled = np.minimum(filled + 1, buf.shape[2])
-            if filled.min() == filled.max():
-                out[:, s] = glr_scan_stat(buf[:, :, -filled[0]:], self.p0, self.coef)
-                continue
-            for f in np.unique(filled):
-                same = filled == f
-                out[same, s] = glr_scan_stat(buf[same][:, :, -f:], self.p0, self.coef)
+            out[:, s] = glr_scan_stat(buf[:, :, -filled.max():], self.p0, self.coef)
         if rows is not None:  # with every row, buf is the state itself
             self.buf[rows] = buf
         self.filled[slice(None) if rows is None else rows] = filled

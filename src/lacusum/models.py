@@ -8,7 +8,7 @@ the first m streams from time nu onward.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,41 +53,21 @@ def nominal_pdf(x, theta: float, fam: NominalFamily):
 
 @dataclass(frozen=True)
 class OutlierSpec:
-    """Outlier distribution: gaussian, point mass, or tabulated density.
-
-    custom_table uses linear interpolation between grid points and zero
-    density outside the grid; sampling inverts the trapezoid CDF.
-    """
+    """Outlier distribution: a gaussian, or a point mass (the breakdown worst case)."""
 
     kind: str
     mean: float = 0.0
     sd: float = 1.0
     location: float = 0.0
-    grid_x: np.ndarray | None = field(default=None, repr=False)
-    grid_density: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "point_mass", "custom_table"):
+        if self.kind not in ("gaussian", "point_mass"):
             raise ConfigError(f"unknown outlier kind {self.kind!r}")
         if any(map(math.isnan, (self.mean, self.sd, self.location))):
             raise ConfigError(f"outlier mean {self.mean}, sd {self.sd} or location "
                               f"{self.location} is not a number")
         if self.kind == "gaussian" and self.sd <= 0:
             raise ConfigError(f"gaussian outlier sd must be positive, got {self.sd}")
-        if self.kind == "custom_table":
-            x = np.asarray(self.grid_x, dtype=float)
-            dens = np.asarray(self.grid_density, dtype=float)
-            if x.ndim != 1 or x.size < 2 or x.shape != dens.shape:
-                raise ConfigError("custom_table needs matching 1-d grids with >= 2 points")
-            if not np.all(np.diff(x) > 0):  # NaN too
-                raise ConfigError("custom_table grid must be strictly increasing")
-            if not np.all(dens >= 0):
-                raise ConfigError("custom_table densities must be nonnegative")
-            total = np.trapezoid(dens, x)
-            if not abs(total - 1.0) <= 1e-6:
-                raise ConfigError(f"custom_table must integrate to 1 (trapezoid), got {total:.8f}")
-            object.__setattr__(self, "grid_x", x)
-            object.__setattr__(self, "grid_density", dens)
 
     @classmethod
     def gaussian_outlier(cls, mean: float = 0.0, sd: float = 3.0) -> "OutlierSpec":
@@ -97,58 +77,18 @@ class OutlierSpec:
     def point_mass_outlier(cls, location: float) -> "OutlierSpec":
         return cls(kind="point_mass", location=location)
 
-    @classmethod
-    def table_outlier(cls, grid_x, grid_density) -> "OutlierSpec":
-        return cls(kind="custom_table", grid_x=np.asarray(grid_x, dtype=float),
-                   grid_density=np.asarray(grid_density, dtype=float))
-
     def pdf(self, x):
         """Density g(x). Raises NoDensityError for a point mass."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "gaussian":
-            z = (x - self.mean) / self.sd
-            return np.exp(-0.5 * z * z) / (SQRT_2PI * self.sd)
         if self.kind == "point_mass":
             raise NoDensityError("point-mass outliers have no density")
-        return np.interp(x, self.grid_x, self.grid_density, left=0.0, right=0.0)
-
-    def expectation(self) -> float:
-        """E_g[X]; exists for every supported kind."""
-        if self.kind == "gaussian":
-            return self.mean
-        if self.kind == "point_mass":
-            return self.location
-        x, dens = self.grid_x, self.grid_density
-        return float(np.trapezoid(x * dens, x))
+        z = (np.asarray(x, dtype=float) - self.mean) / self.sd
+        return np.exp(-0.5 * z * z) / (SQRT_2PI * self.sd)
 
     def sample(self, rng: np.random.Generator, size):
         """Draw samples of the given shape."""
         if self.kind == "gaussian":
             return rng.normal(self.mean, self.sd, size)
-        if self.kind == "point_mass":
-            return np.full(size, self.location)
-        return self._sample_table(rng, size)
-
-    def _sample_table(self, rng, size):
-        # inverse CDF of the piecewise-linear density; CDF is piecewise quadratic
-        x, dens = self.grid_x, self.grid_density
-        seg_area = 0.5 * (dens[:-1] + dens[1:]) * np.diff(x)
-        cum = np.concatenate([[0.0], np.cumsum(seg_area)])
-        total = cum[-1]
-        u = rng.random(size) * total
-        flat = np.ravel(u)
-        idx = np.clip(np.searchsorted(cum, flat, side="right") - 1, 0, len(seg_area) - 1)
-        x0, d0 = x[idx], dens[idx]
-        h = np.diff(x)[idx]
-        slope = (dens[idx + 1] - d0) / h
-        target = flat - cum[idx]
-        lin = slope == 0.0
-        t = np.empty_like(flat)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t[lin] = np.where(d0[lin] > 0, target[lin] / d0[lin], 0.0)
-            disc = np.sqrt(np.maximum(d0[~lin] ** 2 + 2.0 * slope[~lin] * target[~lin], 0.0))
-            t[~lin] = (disc - d0[~lin]) / slope[~lin]
-        return (x0 + np.clip(t, 0.0, h)).reshape(np.shape(u))
+        return np.full(size, self.location)
 
 
 @dataclass(frozen=True)

@@ -52,36 +52,6 @@ def haar_transform(signal) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BaselineStats:
-    """Per-coefficient mean and standard deviation of the in-control pool."""
-
-    mu_hat: np.ndarray
-    sigma_hat: np.ndarray
-
-
-def _transform_pool(pool, p: int) -> np.ndarray:
-    signals = np.asarray(pool, dtype=float)
-    if signals.ndim != 2:
-        raise ConfigError("pool must be a 2-d array: one signal per row")
-    if not 1 <= p <= signals.shape[1]:
-        raise ConfigError(f"p={p} must lie in 1..{signals.shape[1]}, the signal length")
-    return np.array([haar_transform(s)[:p] for s in signals])
-
-
-def fit_baseline(training_pool, p: int) -> BaselineStats:
-    """Per-coefficient mean and sd (denominator n-1) of the first p coefficients."""
-    coeffs = _transform_pool(training_pool, p)
-    if coeffs.shape[0] < 2:
-        raise ConfigError("need at least 2 training signals")
-    mu = coeffs.mean(axis=0)
-    sd = coeffs.std(axis=0, ddof=1)
-    degenerate = np.flatnonzero(sd == 0.0)
-    if degenerate.size:
-        raise DegenerateCoefficientError(int(degenerate[0]))
-    return BaselineStats(mu_hat=mu, sigma_hat=sd)
-
-
 # ---------------------------------------------------------------------------
 # Synthetic data
 # ---------------------------------------------------------------------------
@@ -119,19 +89,34 @@ class ProfileGeneratorConfig:
             raise ConfigError("noise_sd must be positive")
 
 
+def _check_signals(signals: np.ndarray, label: str):
+    """Reject signals that are not a nonempty 2-d array of finite values."""
+    if signals.ndim != 2 or signals.shape[0] < 1:
+        raise ConfigError(f"{label} must be a nonempty 2-d array")
+    bad = np.argwhere(~np.isfinite(signals))
+    if bad.size:
+        i, j = bad[0]
+        raise ConfigError(f"{label}: non-finite value {signals[i, j]} at row {i + 1}, "
+                          f"column {j + 1}")
+
+
 @dataclass(frozen=True)
 class ProfilePool:
-    """Normal and faulty profile samples, one signal per row."""
+    """Normal and faulty profile samples of one signal length, one signal per row."""
 
     normal: np.ndarray
     fault1: np.ndarray
     fault2: np.ndarray
 
     def __post_init__(self):
+        lengths = {}
         for name in ("normal", "fault1", "fault2"):
-            arr = getattr(self, name)
-            if arr.ndim != 2 or arr.shape[0] < 1:
-                raise ConfigError(f"{name} pool must be a nonempty 2-d array")
+            signals = getattr(self, name)
+            _check_signals(signals, f"{name} pool")
+            lengths[name] = signals.shape[1]
+        if len(set(lengths.values())) > 1:
+            raise ConfigError("pools must share one signal length, got "
+                              + ", ".join(f"{name} {n}" for name, n in lengths.items()))
 
 
 def _raised_cosine(length: int, center: int, width: int) -> np.ndarray:
@@ -199,9 +184,13 @@ def load_pool(directory) -> ProfilePool:
         path = directory / filename
         if not path.exists():
             raise ConfigError(f"missing pool file: {path}")
-        signals = np.loadtxt(path, delimiter=",", ndmin=2)
+        try:
+            signals = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:  # a cell that is not a number, or a ragged row
+            raise ConfigError(f"{path}: {exc}") from None
         if signals.shape[1] < 2:
             raise ConfigError(f"{path}: expected one signal per row")
+        _check_signals(signals, str(path))
         arrays[name] = signals
     return ProfilePool(**arrays)
 
@@ -212,52 +201,38 @@ def load_pool(directory) -> ProfilePool:
 
 @dataclass(frozen=True)
 class PoolStreamSampler:
-    """Streams standardized coefficient rows drawn from mixed pools.
+    """Streams standardized coefficient rows drawn from a mixture of pools.
 
-    Before nu the row comes from pre_pools with pre_probs; from nu on, from
-    post_pools with post_probs.  Row indices for every pool are drawn each
-    block regardless of the mixture outcome, so paths are reproducible and
-    threshold-independent.
+    Each step's row comes from pools[i] with probability probs[i].  Row
+    indices for every pool are drawn each block regardless of the mixture
+    outcome, so paths are reproducible and threshold-independent.
     """
 
-    pre_pools: tuple
-    pre_probs: tuple
-    post_pools: tuple = ()
-    post_probs: tuple = ()
-    nu: float = math.inf
+    pools: tuple
+    probs: tuple
 
     def __post_init__(self):
-        for probs, pools in ((self.pre_probs, self.pre_pools),
-                             (self.post_probs, self.post_pools)):
-            if len(probs) != len(pools):
-                raise ConfigError("one probability per pool required")
-            if probs and abs(sum(probs) - 1.0) > 1e-9:
-                raise ConfigError("mixture probabilities must sum to 1")
+        if len(self.probs) != len(self.pools):
+            raise ConfigError("one probability per pool required")
+        if abs(sum(self.probs) - 1.0) > 1e-9:
+            raise ConfigError("mixture probabilities must sum to 1")
 
     @property
     def K(self) -> int:
-        return self.pre_pools[0].shape[1]
+        return self.pools[0].shape[1]
 
-    def _draw_phase(self, rng, pools, probs, n: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, t0: int, n: int) -> np.ndarray:
+        """Rows for time steps t0+1 .. t0+n, shape (K, n)."""
         u = rng.random(n)
-        idx = [rng.integers(0, pool.shape[0], n) for pool in pools]
-        edges = np.cumsum(probs)
-        which = np.searchsorted(edges, u, side="right")
-        which = np.minimum(which, len(pools) - 1)
+        idx = [rng.integers(0, pool.shape[0], n) for pool in self.pools]
+        which = np.searchsorted(np.cumsum(self.probs), u, side="right")
+        which = np.minimum(which, len(self.pools) - 1)
         rows = np.empty((n, self.K))
-        for pi, pool in enumerate(pools):
+        for pi, pool in enumerate(self.pools):
             sel = which == pi
             if sel.any():
                 rows[sel] = pool[idx[pi][sel]]
         return rows.T
-
-    def draw(self, rng: np.random.Generator, t0: int, n: int) -> np.ndarray:
-        if self.nu == math.inf:
-            return self._draw_phase(rng, self.pre_pools, self.pre_probs, n)
-        times = np.arange(t0 + 1, t0 + n + 1)
-        pre = self._draw_phase(rng, self.pre_pools, self.pre_probs, n)
-        post = self._draw_phase(rng, self.post_pools, self.post_probs, n)
-        return np.where(times >= self.nu, post, pre)
 
 
 # probabilities of (regular row, outlier row) in both case-study streams
@@ -276,13 +251,24 @@ class CaseStudyRow:
 
 
 def standardized_pools(pool: ProfilePool, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """z-scored first-p coefficient matrices, baseline fitted on the normal pool."""
-    stats = fit_baseline(pool.normal, p)
-    out = []
-    for signals in (pool.normal, pool.fault1, pool.fault2):
-        coeffs = _transform_pool(signals, p)
-        out.append((coeffs - stats.mu_hat) / stats.sigma_hat)
-    return tuple(out)
+    """z-scored first-p Haar coefficient matrices of the three pools.
+
+    Each coefficient is centred on its mean over the normal pool and scaled
+    by its standard deviation there (denominator n - 1).
+    """
+    length = pool.normal.shape[1]
+    if not 1 <= p <= length:
+        raise ConfigError(f"p={p} must lie in 1..{length}, the signal length")
+    if pool.normal.shape[0] < 2:
+        raise ConfigError("need at least 2 training signals")
+    coeffs = [np.array([haar_transform(s)[:p] for s in signals])
+              for signals in (pool.normal, pool.fault1, pool.fault2)]
+    mu = coeffs[0].mean(axis=0)
+    sd = coeffs[0].std(axis=0, ddof=1)
+    degenerate = np.flatnonzero(sd == 0.0)
+    if degenerate.size:
+        raise DegenerateCoefficientError(int(degenerate[0]))
+    return tuple((c - mu) / sd for c in coeffs)
 
 
 def case_study_run(pool: ProfilePool, schemes, target_arl: float = 300.0, *,
@@ -293,8 +279,9 @@ def case_study_run(pool: ProfilePool, schemes, target_arl: float = 300.0, *,
     its detection of the persistent fault.
 
     The in-control stream mixes normal rows with pre_outlier rows at
-    OUTLIER_MIX; the faulty stream mixes fault1 rows (the persistent change)
-    with fault2 rows (transient outliers) at OUTLIER_MIX.
+    OUTLIER_MIX; the faulty stream, changed from its first step on, mixes
+    fault1 rows (the persistent change) with fault2 rows (transient
+    outliers) at OUTLIER_MIX.
     """
     if pre_outlier not in ("fault1", "fault2"):
         raise ConfigError("pre_outlier must be 'fault1' or 'fault2'")
@@ -302,9 +289,8 @@ def case_study_run(pool: ProfilePool, schemes, target_arl: float = 300.0, *,
         raise ConfigError(f"target_arl must be a finite number above 1, got {target_arl}")
     zn, z1, z2 = standardized_pools(pool, p if p is not None else pool.normal.shape[1] // 4)
     pre_out = z1 if pre_outlier == "fault1" else z2
-    pre_sampler = PoolStreamSampler(pre_pools=(zn, pre_out), pre_probs=OUTLIER_MIX)
-    post_sampler = PoolStreamSampler(pre_pools=(zn,), pre_probs=(1.0,),
-                                     post_pools=(z1, z2), post_probs=OUTLIER_MIX, nu=1)
+    pre_sampler = PoolStreamSampler((zn, pre_out), OUTLIER_MIX)
+    post_sampler = PoolStreamSampler((z1, z2), OUTLIER_MIX)
     run_cap = cap if cap is not None else int(20 * target_arl)
     rows = []
     for i, scheme in enumerate(schemes):

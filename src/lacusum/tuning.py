@@ -1,6 +1,6 @@
 """Tuning quantities: information numbers, MGF roots, efficiency, design formulas.
 
-Everything here is an expectation of the local increment Y under the
+Everything here is an expected value of the local increment Y under the
 contaminated model, or a function of two such expectations:
 
   * info number      I(theta, eps, alpha) = E_{h_theta}[Y]
@@ -63,8 +63,7 @@ def _gh_points(n: int):
 def mixture_nodes(model: GrossErrorModel, theta: float, n_nodes: int):
     """Quadrature nodes and probability weights for E_{h_theta}[phi(X)].
 
-    Gaussian components use Gauss-Hermite; tabulated outliers use trapezoid
-    weights on their own grid; a point mass is a single node.
+    Gaussian components use Gauss-Hermite; a point mass is a single node.
     """
     t, w = _gh_points(n_nodes)
     fam = model.nominal
@@ -75,18 +74,9 @@ def mixture_nodes(model: GrossErrorModel, theta: float, n_nodes: int):
         if out.kind == "gaussian":
             xs.append(out.mean + out.sd * t)
             ws.append(model.epsilon * w)
-        elif out.kind == "point_mass":
+        else:
             xs.append(np.array([out.location]))
             ws.append(np.array([model.epsilon]))
-        else:
-            g = out.grid_x
-            dens = out.grid_density
-            dx = np.diff(g)
-            trap = np.zeros_like(g)
-            trap[:-1] += 0.5 * dx
-            trap[1:] += 0.5 * dx
-            xs.append(g)
-            ws.append(model.epsilon * dens * trap)
     return np.concatenate(xs), np.concatenate(ws)
 
 
@@ -170,7 +160,8 @@ def solve_mgf_root(values: np.ndarray, weights: np.ndarray | None = None,
         with np.errstate(over="ignore", invalid="ignore"):
             np.exp(buf, out=buf)
             total = buf.sum() if w is None else np.dot(w, buf)
-            return float(total) / n, float(np.dot(wy, buf)) / n
+            # einsum sums in one fixed order; BLAS dot splits the sum by thread count
+            return float(total) / n, float(np.einsum("i,i->", wy, buf)) / n
 
     lo, hi, hi_finite, step, older = 0.0, math.inf, False, math.inf, math.inf
     lam = hint if hint and hint > 0 else 1.0

@@ -1,11 +1,14 @@
 """Command-line interface: dispatch, config handling, exit codes, determinism."""
 
 import io
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 
 from lacusum.cli import REQUIRED, SETTINGS, _load_config, _setting, main
@@ -71,6 +74,26 @@ class TestTuneCommand:
              "--samples", "200000"], capsys=capsys)
         assert code == 2
         assert "numeric failure" in err
+
+    def test_output_independent_of_blas_threads(self):
+        # np.dot over the Monte Carlo sample splits its sum by the BLAS thread
+        # count, which once moved a root in its last digit
+        import lacusum
+        src = str(Path(lacusum.__file__).resolve().parents[1])
+        argv = ["tune", "--epsilon", "0.1", "--alpha-grid", "0:0.05:1",
+                "--samples", "200000", "--seed", "7"]
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from lacusum.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+                env=env, capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestTuneConfig:
@@ -536,6 +559,26 @@ class TestCaseStudyCommand:
             assert code == 1 and "cap 39 is below gamma 40" in err, err
         else:
             assert code == base[0] == 0 and out != base[1], err
+
+    @pytest.mark.parametrize("fault, names", [
+        ("nan", "normal.csv: non-finite value nan at row 2, column 3"),
+        ("length", "one signal length, got normal 64, fault1 32, fault2 64"),
+    ], ids=["nan", "length"])
+    def test_bad_pool_dir(self, capsys, tmp_path, fault, names):
+        # a non-finite cell once ended in a traceback from the engine, and a
+        # fault pool of another signal length ran without complaint
+        rng = np.random.default_rng(0)
+        normal = rng.normal(0.0, 1.0, (30, 64))
+        fault1 = rng.normal(0.5, 1.0, (10, 32 if fault == "length" else 64))
+        if fault == "nan":
+            normal[1, 2] = np.nan
+        for name, signals in (("normal", normal), ("fault1", fault1),
+                              ("fault2", rng.normal(2.0, 1.0, (10, 64)))):
+            np.savetxt(tmp_path / f"{name}.csv", signals, delimiter=",")
+        code, _, err = run_cli(["casestudy", "--pool-dir", str(tmp_path), "--p", "16",
+                                "--reps", "20", "--target-arl", "20"], capsys=capsys)
+        assert code == 1 and "config error" in err and names in err, err
+        assert "Traceback" not in err
 
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "out.csv"

@@ -361,6 +361,31 @@ class TestGlr:
         assert np.all(np.isfinite(vals))
 
 
+class TestWindowScan:
+    """One scan per step over the longest-filled row gives each row the path
+    a kernel of its own gives it, bit for bit."""
+
+    @pytest.mark.parametrize("window", [5, 17, 200])
+    @pytest.mark.parametrize("variant", ["xie_siegmund", "chan2"])
+    def test_mixed_fills_match_single_rows(self, rng, variant, window):
+        params, K = GlrParams(0.1, window, variant), 40
+        # every row has seen at least one observation, as in the engine, where
+        # only the first block starts from an empty window (and for all rows):
+        # a lone first observation sums its K terms in another order
+        lead = [1, 3, 8, 40, 250]
+        history = [rng.normal(0.5, 3.0, (K, n)) for n in lead]
+        block = rng.normal(0.5, 3.0, (len(lead), K, 12))
+        block[2, :, 4] = 40.0  # the mixture term's large-u branch
+        batch = detectors.WindowGlr(params, len(lead), K)
+        for i, h in enumerate(history):
+            batch.path(h[None], rows=np.array([i]))
+        got = batch.path(block)
+        for i, h in enumerate(history):
+            single = detectors.WindowGlr(params, 1, K)
+            single.path(h[None])
+            assert got[i].tobytes() == single.path(block[i:i + 1])[0].tobytes()
+
+
 class TestRunToAlarm:
     def test_zero_threshold_alarms_immediately(self, fam, rng):
         scheme = LAlphaScheme(LocalParams(0.0, fam), FusionRule.soft(0.0, 0.0))

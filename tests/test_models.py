@@ -71,41 +71,12 @@ class TestOutlierSpec:
         pm = OutlierSpec.point_mass_outlier(2.0)
         with pytest.raises(NoDensityError):
             pm.pdf(0.0)
-        assert pm.expectation() == 2.0
         rng = np.random.default_rng(0)
         assert np.all(pm.sample(rng, (3, 4)) == 2.0)
 
-    def test_table_must_integrate_to_one(self):
-        x = np.linspace(0, 1, 11)
-        with pytest.raises(ConfigError):
-            OutlierSpec.table_outlier(x, np.full(11, 2.0))
-        nan_density, nan_grid = np.ones(11), x.copy()
-        nan_density[5] = nan_grid[5] = math.nan
-        for grid, density in ((x, nan_density), (nan_grid, np.ones(11))):
-            with pytest.raises(ConfigError):
-                OutlierSpec.table_outlier(grid, density)
-
-    def test_table_pdf_and_moments(self):
-        # symmetric triangle on [-1, 1]: density 1 - |x|
-        x = np.linspace(-1, 1, 2001)
-        spec = OutlierSpec.table_outlier(x, 1.0 - np.abs(x))
-        assert spec.pdf(0.0) == pytest.approx(1.0, abs=1e-3)
-        assert spec.pdf(2.0) == 0.0
-        assert spec.expectation() == pytest.approx(0.0, abs=1e-12)
-
-    def test_table_sampling_matches_cdf(self):
-        x = np.linspace(-1, 1, 2001)
-        spec = OutlierSpec.table_outlier(x, 1.0 - np.abs(x))
-        rng = np.random.default_rng(7)
-        draws = spec.sample(rng, 20_000)
-        assert np.all((draws >= -1) & (draws <= 1))
-
-        def cdf(v):
-            v = np.clip(v, -1, 1)
-            return np.where(v < 0, 0.5 * (1 + v) ** 2, 1 - 0.5 * (1 - v) ** 2)
-
-        ks = stats.kstest(draws, cdf).statistic
-        assert ks < 1.63 / math.sqrt(draws.size)  # 1% critical value
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown outlier kind 'custom_table'"):
+            OutlierSpec(kind="custom_table")
 
 
 class TestMixturePdf:
@@ -252,15 +223,13 @@ class TestLeanDraw:
     fails here rather than shifting every sample path quietly.
     """
 
-    GRID = np.linspace(-2.0, 2.0, 41)
     OUTLIERS = {
         "gaussian": OutlierSpec.gaussian_outlier(1.0, 3.0),
         "point_mass": OutlierSpec.point_mass_outlier(4.0),
-        "table": OutlierSpec.table_outlier(GRID, (1.0 - np.abs(GRID) / 2.0) / 2.0),
     }
 
     @pytest.mark.parametrize("epsilon,outlier", [
-        (0.0, "gaussian"), (0.1, "gaussian"), (0.2, "point_mass"), (0.3, "table")])
+        (0.0, "gaussian"), (0.1, "gaussian"), (0.2, "point_mass")])
     @pytest.mark.parametrize("scenario", [
         ChangeScenario.no_change(6),
         ChangeScenario(K=6, m=2, nu=13, theta_post=2.5),  # inside the block at t0 = 8

@@ -1,6 +1,7 @@
 """Haar features, standardization, synthetic pools, case-study pipeline."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from lacusum import (
     ProfileGeneratorConfig,
     ProfilePool,
     case_study_run,
-    fit_baseline,
     haar_transform,
     synth_pool,
 )
@@ -65,22 +65,32 @@ class TestHaar:
             inverse_haar_transform(np.zeros(3))
 
 
+def baseline_only(normal):
+    """A pool whose fault pools are the first normal signal."""
+    return ProfilePool(normal, normal[:1], normal[:1])
+
+
 class TestBaseline:
     def test_hand_computed_two_signal_pool(self):
-        # scaling coefficients: (0+0)/sqrt2 = 0 and (2+0)/sqrt2 = sqrt2
-        stats = fit_baseline(np.array([[0.0, 0.0], [2.0, 0.0]]), p=1)
-        assert stats.mu_hat[0] == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
-        assert stats.sigma_hat[0] == pytest.approx(1.0, abs=1e-12)
+        # scaling coefficients: (0+0)/sqrt2 = 0 and (2+0)/sqrt2 = sqrt2, so the
+        # baseline is mean sqrt2/2 and sd 1
+        zn, z1, _ = standardized_pools(baseline_only(np.array([[0.0, 0.0], [2.0, 0.0]])), p=1)
+        np.testing.assert_allclose(zn[:, 0], [-math.sqrt(2) / 2, math.sqrt(2) / 2], atol=1e-12)
+        assert z1[0, 0] == pytest.approx(-math.sqrt(2) / 2, abs=1e-12)
 
     def test_identical_signals_degenerate(self):
         pool = np.tile(np.arange(8.0), (5, 1))
         with pytest.raises(DegenerateCoefficientError) as err:
-            fit_baseline(pool, p=4)
+            standardized_pools(baseline_only(pool), p=4)
         assert "coefficient 0" in str(err.value)
+
+    def test_one_training_signal_rejected(self, rng):
+        with pytest.raises(ConfigError, match="at least 2 training signals"):
+            standardized_pools(baseline_only(rng.normal(0.0, 1.0, (1, 8))), p=4)
 
     def test_training_pool_standardizes_to_unit_moments(self, rng):
         pool = rng.normal(3.0, 2.0, (40, 64))
-        z = standardized_pools(ProfilePool(pool, pool[:1], pool[:1]), 16)[0]
+        z = standardized_pools(baseline_only(pool), 16)[0]
         np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(z.std(axis=0, ddof=1), 1.0, atol=1e-10)
 
@@ -89,7 +99,7 @@ class TestBaseline:
         # a negative p once sliced from the end; p = 0 fitted empty stats
         pool = rng.normal(0.0, 1.0, (10, 64))
         with pytest.raises(ConfigError, match=f"p={p} must lie in 1..64"):
-            fit_baseline(pool, p)
+            standardized_pools(baseline_only(pool), p)
 
 
 class TestSynthPool:
@@ -144,6 +154,32 @@ class TestPoolCsv:
             load_pool(tmp_path)
 
 
+class TestPoolChecks:
+    def test_non_finite_value_named(self, rng):
+        normal = rng.normal(0.0, 1.0, (4, 8))
+        normal[2, 5] = math.inf
+        with pytest.raises(ConfigError, match="normal pool: non-finite value inf at row 3, column 6"):
+            ProfilePool(normal, normal[:1], normal[:1])
+
+    @pytest.mark.parametrize("cell, error", [
+        ("nan", "non-finite value nan at row 2, column 1"),
+        ("abc", "could not convert string 'abc'"),
+    ], ids=["nan", "text"])
+    def test_bad_cell_names_file(self, tmp_path, cell, error):
+        from lacusum import load_pool, save_pool
+        save_pool(synth_pool(ProfileGeneratorConfig(length=16), (4, 2, 2), seed=1), tmp_path)
+        lines = (tmp_path / "fault2.csv").read_text().splitlines()
+        lines[1] = cell + "," + lines[1].split(",", 1)[1]
+        (tmp_path / "fault2.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=r"fault2\.csv: " + re.escape(error)):
+            load_pool(tmp_path)
+
+    def test_one_signal_length(self, rng):
+        with pytest.raises(ConfigError, match="one signal length, got normal 64, fault1 32, fault2 64"):
+            ProfilePool(rng.normal(0.0, 1.0, (4, 64)), rng.normal(0.0, 1.0, (2, 32)),
+                        rng.normal(0.0, 1.0, (2, 64)))
+
+
 class TestPoolSampler:
     def _pools(self):
         zn = np.zeros((5, 3))
@@ -153,24 +189,18 @@ class TestPoolSampler:
 
     def test_deterministic(self):
         zn, z1, z2 = self._pools()
-        s = PoolStreamSampler(pre_pools=(zn, z1), pre_probs=(0.7, 0.3))
+        s = PoolStreamSampler((zn, z1), (0.7, 0.3))
         a = s.draw(np.random.default_rng(1), 0, 50)
         b = s.draw(np.random.default_rng(1), 0, 50)
         np.testing.assert_array_equal(a, b)
         assert set(np.unique(a)) <= {0.0, 1.0}
 
-    def test_change_time(self):
-        zn, z1, z2 = self._pools()
-        s = PoolStreamSampler(pre_pools=(zn,), pre_probs=(1.0,),
-                              post_pools=(z1, z2), post_probs=(0.5, 0.5), nu=4)
-        block = s.draw(np.random.default_rng(2), 0, 8)  # times 1..8
-        assert np.all(block[:, :3] == 0.0)
-        assert np.all(block[:, 3:] >= 1.0)
-
     def test_probability_validation(self):
         zn, z1, _ = self._pools()
         with pytest.raises(ConfigError):
-            PoolStreamSampler(pre_pools=(zn, z1), pre_probs=(0.7, 0.2))
+            PoolStreamSampler((zn, z1), (0.7, 0.2))
+        with pytest.raises(ConfigError):
+            PoolStreamSampler((zn, z1), (1.0,))
 
 
 @pytest.fixture(scope="module")
