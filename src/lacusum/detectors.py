@@ -37,6 +37,9 @@ CHAN2_COEF = 2.0 * (math.sqrt(2.0) - 1.0)
 FIRST_BLOCK = 8
 BLOCK = 64
 
+# values per pass of the L_alpha increment chain: 128 KB, which stays in cache
+INCREMENT_CHUNK = 16_384
+
 
 def block_size(t):
     """Steps in the block that starts after step t, for t on the schedule
@@ -70,18 +73,24 @@ def lalpha_increment(x, p: LocalParams):
     c = (SQRT_2PI * fam.sigma) ** (-p.alpha)
     a2 = p.alpha / (2.0 * fam.sigma**2)
     # c * (exp(-a2 * (x - theta1)**2) - exp(-a2 * (x - theta0)**2)) / alpha, operation
-    # for operation but in place, so that the increment of an engine block takes two
-    # arrays of the block's size where the expression took four at once
-    e1 = np.subtract(x, fam.theta1, out=np.empty_like(x))
-    e0 = np.subtract(x, fam.theta0, out=np.empty_like(x))
-    for e in (e1, e0):
-        np.square(e, out=e)
-        np.multiply(e, -a2, out=e)
-        np.exp(e, out=e)
-    np.subtract(e1, e0, out=e1)
-    np.multiply(e1, c, out=e1)
-    np.divide(e1, p.alpha, out=e1)
-    return e1[()]
+    # for operation but in place and INCREMENT_CHUNK values at a time, so that the
+    # chain runs in cache and takes one array of x's size plus one chunk
+    out = np.empty(x.shape)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    scratch = np.empty(min(flat_x.size, INCREMENT_CHUNK))
+    for lo in range(0, flat_x.size, INCREMENT_CHUNK):
+        xs = flat_x[lo:lo + INCREMENT_CHUNK]
+        e1, e0 = flat_out[lo:lo + INCREMENT_CHUNK], scratch[:xs.size]
+        np.subtract(xs, fam.theta1, out=e1)
+        np.subtract(xs, fam.theta0, out=e0)
+        for e in (e1, e0):
+            np.square(e, out=e)
+            np.multiply(e, -a2, out=e)
+            np.exp(e, out=e)
+        np.subtract(e1, e0, out=e1)
+        np.multiply(e1, c, out=e1)
+        np.divide(e1, p.alpha, out=e1)
+    return out[()]
 
 
 @dataclass(frozen=True)
@@ -159,17 +168,31 @@ def _mix_log_term(u, p0: float, coef: float):
     return out
 
 
-def glr_scan_stat(history: np.ndarray, p0: float, coef: float):
+def glr_scan_stat(history: np.ndarray, p0: float, coef: float, work=None):
     """Scan statistic max over candidate change times for one time step.
 
     history holds the most recent observations, shape (K, L), oldest first;
-    candidate change times are the L window offsets.
+    candidate change times are the L window offsets.  work is a pair of flat
+    float buffers of at least history.size values each, which the scan
+    writes into; a fresh pair when None.
     """
-    rev = history[..., ::-1]
-    tail_sums = np.cumsum(rev, axis=-1)
-    j = np.arange(1, history.shape[-1] + 1, dtype=float)
-    u = np.maximum(tail_sums / np.sqrt(j), 0.0)
-    terms = _mix_log_term(0.5 * u * u, p0, coef)
+    if work is None:
+        work = np.empty((2, history.size))
+    u = work[0][:history.size].reshape(history.shape)
+    v = work[1][:history.size].reshape(history.shape)
+    np.cumsum(history[..., ::-1], axis=-1, out=u)
+    np.divide(u, np.sqrt(np.arange(1, history.shape[-1] + 1, dtype=float)), out=u)
+    np.maximum(u, 0.0, out=u)
+    np.multiply(u, 0.5, out=v)
+    np.multiply(v, u, out=v)  # 0.5 * u * u
+    if v.max() > 30.0:
+        terms = _mix_log_term(v, p0, coef)
+    else:  # _mix_log_term's small-u branch over the whole block, in place
+        np.exp(v, out=v)
+        np.multiply(v, coef, out=v)
+        np.subtract(v, 1.0, out=v)
+        np.multiply(v, p0, out=v)
+        terms = np.log1p(v, out=v)
     return terms.sum(axis=-2).max(axis=-1)
 
 
@@ -310,11 +333,16 @@ class WindowGlr:
         buf = self.buf if rows is None else self.buf[rows]
         filled = self.filled if rows is None else self.filled[rows]
         out = np.empty((X.shape[0], X.shape[2]))
+        work = np.empty((2, buf.size))  # the scan's buffers, shared by the block's steps
+        # buf is C-contiguous, so one overlapping 1-d copy shifts every window a
+        # step left with no temporary; the last slot of each window, which takes
+        # the first value of the next, is then overwritten by the new step
+        flat = buf.reshape(-1)
         for s in range(X.shape[2]):
-            buf[:, :, :-1] = buf[:, :, 1:]
+            flat[:-1] = flat[1:]
             buf[:, :, -1] = X[:, :, s]
             filled = np.minimum(filled + 1, buf.shape[2])
-            out[:, s] = glr_scan_stat(buf[:, :, -filled.max():], self.p0, self.coef)
+            out[:, s] = glr_scan_stat(buf[:, :, -filled.max():], self.p0, self.coef, work)
         if rows is not None:  # with every row, buf is the state itself
             self.buf[rows] = buf
         self.filled[slice(None) if rows is None else rows] = filled

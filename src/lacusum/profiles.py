@@ -214,6 +214,16 @@ class PoolStreamSampler:
     def __post_init__(self):
         if len(self.probs) != len(self.pools):
             raise ConfigError("one probability per pool required")
+        for i, pool in enumerate(self.pools):
+            if np.ndim(pool) != 2 or len(pool) == 0:
+                raise ConfigError(f"pool {i} must hold at least one row of K values, "
+                                  f"got shape {np.shape(pool)}")
+        if len({pool.shape[1] for pool in self.pools}) > 1:
+            raise ConfigError("pools must share one column count, got " + ", ".join(
+                f"pool {i} {pool.shape[1]}" for i, pool in enumerate(self.pools)))
+        if not all(q >= 0 for q in self.probs):  # NaN too
+            raise ConfigError("mixture probabilities must be >= 0, got " + ", ".join(
+                f"pool {i} {q}" for i, q in enumerate(self.probs)))
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise ConfigError("mixture probabilities must sum to 1")
 

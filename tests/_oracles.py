@@ -1,12 +1,17 @@
 """Reference forms that the library no longer exports, kept as test oracles.
 
 solve_lambda finds the MGF root at one alpha on its own sample, without the
-tuning grid's warm start; inverse_haar_transform inverts haar_transform.
+tuning grid's warm start; inverse_haar_transform inverts haar_transform;
+lalpha_increment_whole and glr_scan_stat_whole are the whole-array forms of
+the two detector kernels, which the chunked and buffered kernels must match
+bit for bit.
 """
 
 import numpy as np
 
 from lacusum import LocalParams, QuadratureConfig, lalpha_increment, solve_mgf_root
+from lacusum.detectors import _mix_log_term
+from lacusum.models import SQRT_2PI
 from lacusum.profiles import SQRT2, _check_dyadic
 from lacusum.tuning import _support
 
@@ -45,3 +50,31 @@ def inverse_haar_transform(coefficients) -> np.ndarray:
         a = nxt
         pos *= 2
     return a
+
+
+def lalpha_increment_whole(x, p: LocalParams):
+    """lalpha_increment for alpha > 0, one operation at a time over the whole array."""
+    x = np.asarray(x, dtype=float)
+    fam = p.fam
+    c = (SQRT_2PI * fam.sigma) ** (-p.alpha)
+    a2 = p.alpha / (2.0 * fam.sigma**2)
+    e1 = np.subtract(x, fam.theta1, out=np.empty_like(x))
+    e0 = np.subtract(x, fam.theta0, out=np.empty_like(x))
+    for e in (e1, e0):
+        np.square(e, out=e)
+        np.multiply(e, -a2, out=e)
+        np.exp(e, out=e)
+    np.subtract(e1, e0, out=e1)
+    np.multiply(e1, c, out=e1)
+    np.divide(e1, p.alpha, out=e1)
+    return e1[()]
+
+
+def glr_scan_stat_whole(history, p0, coef):
+    """glr_scan_stat with a fresh array for every operation of the scan."""
+    rev = history[..., ::-1]
+    tail_sums = np.cumsum(rev, axis=-1)
+    j = np.arange(1, history.shape[-1] + 1, dtype=float)
+    u = np.maximum(tail_sums / np.sqrt(j), 0.0)
+    terms = _mix_log_term(0.5 * u * u, p0, coef)
+    return terms.sum(axis=-2).max(axis=-1)

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from lacusum.detectors import (
     glr_scan_stat,
 )
 from lacusum.models import SQRT_2PI
+
+from _oracles import glr_scan_stat_whole, lalpha_increment_whole
 
 
 def brute_force_cusum(llr_increments):
@@ -384,6 +387,77 @@ class TestWindowScan:
             single = detectors.WindowGlr(params, 1, K)
             single.path(h[None])
             assert got[i].tobytes() == single.path(block[i:i + 1])[0].tobytes()
+
+
+CHUNK = detectors.INCREMENT_CHUNK
+
+
+def increment_input(kind, rng):
+    if kind == "0-d":
+        return np.float64(rng.normal())
+    if kind == "block":
+        return rng.normal(0.5, 3.0, (250, 100, 64))
+    if kind == "view":  # strided in every axis
+        return rng.normal(0.5, 3.0, (60, 40, 50))[::2, 1::3, ::-2]
+    return rng.normal(0.5, 3.0, kind)
+
+
+class TestKernelsMatchWholeArrayForms:
+    """The chunked increment and the buffered scan give the bits of the
+    whole-array forms they replace."""
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.21, 1.37, 2.0])
+    @pytest.mark.parametrize("kind", ["0-d", 1, CHUNK - 1, CHUNK, CHUNK + 1, 10**6,
+                                      "block", "view"])
+    def test_increment(self, fam, rng, alpha, kind):
+        x = increment_input(kind, rng)
+        p = LocalParams(alpha, fam)
+        got, want = lalpha_increment(x, p), lalpha_increment_whole(x, p)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("coef", [1.0, CHAN2_COEF], ids=["xs", "chan2"])
+    @pytest.mark.parametrize("case", ["one_row", "rows", "mixed_fills", "large_u"])
+    def test_scan(self, rng, coef, case):
+        rows = 1 if case == "one_row" else 50
+        history = rng.normal(1.0 if case == "large_u" else 0.2, 1.0, (rows, 100, 200))
+        if case == "mixed_fills":  # rows that have seen fewer steps hold zeros first
+            for i, n in enumerate(rng.integers(1, 200, rows)):
+                history[i, :, :-n] = 0.0
+        tail = np.cumsum(history[..., ::-1], axis=-1) / np.sqrt(np.arange(1, 201))
+        assert (0.5 * tail.max() ** 2 > 30.0) == (case == "large_u")
+        want = glr_scan_stat_whole(history, 0.1, coef)
+        assert np.array_equal(glr_scan_stat(history, 0.1, coef), want)
+        # the window kernel hands the scan buffers sized to its full window
+        work = np.empty((2, history.size + 1000))
+        assert np.array_equal(glr_scan_stat(history, 0.1, coef, work), want)
+
+
+class TestAllocation:
+    """Peak traced allocation of the two kernels: numpy reports its buffers to
+    tracemalloc, so the bounds do not depend on the host."""
+
+    @staticmethod
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_increment_takes_its_output_and_one_chunk(self, fam, rng):
+        x = rng.normal(0.0, 3.0, 10**6)
+        peak = self.peak(lalpha_increment, x, LocalParams(0.21, fam))
+        assert peak < x.nbytes + 2 * CHUNK * x.itemsize
+
+    def test_window_monitor_step(self, rng):
+        K, window = 100, 200
+        mon = StreamMonitor(xie_siegmund(window=window), K=K)
+        for row in rng.normal(0.0, 1.0, (window + 10, K)):
+            mon.step(row)
+        peak = self.peak(mon.step, rng.normal(0.0, 1.0, K))
+        assert peak < 3 * K * window * 8
 
 
 class TestRunToAlarm:

@@ -202,6 +202,18 @@ class TestPoolSampler:
         with pytest.raises(ConfigError):
             PoolStreamSampler((zn, z1), (1.0,))
 
+    @pytest.mark.parametrize("pools,probs,message", [
+        ((np.zeros((5, 3)), np.ones((4, 2))), (0.5, 0.5),
+         "one column count, got pool 0 3, pool 1 2"),
+        ((np.zeros((5, 3)), np.ones((0, 3))), (0.5, 0.5), r"pool 1 must hold .* \(0, 3\)"),
+        ((np.zeros((5, 3)), np.ones((4, 3))), (1.5, -0.5), "got pool 0 1.5, pool 1 -0.5"),
+        ((np.zeros((5, 3)), np.ones((4, 3))), (np.nan, 1.0), "got pool 0 nan"),
+    ])
+    def test_pools_validated_at_construction(self, pools, probs, message):
+        # each of these used to construct and fail, or draw nonsense, in draw
+        with pytest.raises(ConfigError, match=message):
+            PoolStreamSampler(pools, probs)
+
 
 @pytest.fixture(scope="module")
 def small_pool():
