@@ -59,23 +59,30 @@ class LocalParams:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
 
 
-def lalpha_increment(x, p: LocalParams):
+def lalpha_increment(x, p: LocalParams, out=None):
     """Increment of the robust local statistic; log-likelihood ratio at alpha = 0.
 
     For alpha > 0 the increment is bounded below by -(2*pi*sigma^2)^(-alpha/2)/alpha,
-    which is what blunts the influence of outliers.
+    which is what blunts the influence of outliers.  With `out`, a C-contiguous
+    float array of x's shape, the result is written there and `out` returned.
     """
     x = np.asarray(x, dtype=float)
+    if out is None:
+        out = np.empty(x.shape)
+    elif out.shape != x.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be C-contiguous of shape {x.shape}, got {out.shape}")
     fam = p.fam
     if p.alpha == 0.0:
-        mid = 0.5 * (fam.theta0 + fam.theta1)
-        return (fam.theta1 - fam.theta0) * (x - mid) / fam.sigma**2
+        # (theta1 - theta0) * (x - mid) / sigma^2, operation for operation
+        np.subtract(x, 0.5 * (fam.theta0 + fam.theta1), out=out)
+        np.multiply(out, fam.theta1 - fam.theta0, out=out)
+        np.divide(out, fam.sigma**2, out=out)
+        return out if out.ndim else out[()]
     c = (SQRT_2PI * fam.sigma) ** (-p.alpha)
     a2 = p.alpha / (2.0 * fam.sigma**2)
     # c * (exp(-a2 * (x - theta1)**2) - exp(-a2 * (x - theta0)**2)) / alpha, operation
     # for operation but in place and INCREMENT_CHUNK values at a time, so that the
-    # chain runs in cache and takes one array of x's size plus one chunk
-    out = np.empty(x.shape)
+    # chain runs in cache and takes out plus one chunk
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
     scratch = np.empty(min(flat_x.size, INCREMENT_CHUNK))
     for lo in range(0, flat_x.size, INCREMENT_CHUNK):
@@ -90,7 +97,7 @@ def lalpha_increment(x, p: LocalParams):
         np.subtract(e1, e0, out=e1)
         np.multiply(e1, c, out=e1)
         np.divide(e1, p.alpha, out=e1)
-    return out[()]
+    return out if out.ndim else out[()]
 
 
 @dataclass(frozen=True)

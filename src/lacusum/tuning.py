@@ -209,7 +209,9 @@ def tuning_grid(epsilon: float, model: GrossErrorModel, alpha_max: float = 2.0,
 
     The same pre- and post-change draws are reused at every grid point
     (common random numbers), which keeps the argmax stable; grid points with
-    no positive root are recorded with None entries and skipped.
+    no positive root are recorded with None entries and skipped.  Each root
+    search starts from the line through the two previous roots when both
+    exist, else from the last root found.
     """
     if step <= 0:
         raise ConfigError("grid step must be positive")
@@ -224,6 +226,10 @@ def tuning_grid(epsilon: float, model: GrossErrorModel, alpha_max: float = 2.0,
     def averaged(values, weights):
         return float(np.mean(values)) if weights is None else float(np.dot(weights, values))
 
+    # one increment buffer for every alpha, pre-change side then post-change:
+    # a fresh sample-sized array per call left the heap to glibc's trimming,
+    # which refaulted it at every alpha
+    y = np.empty_like(x0)
     rows = []
     prev_lam = None
     for a in alphas:
@@ -231,13 +237,15 @@ def tuning_grid(epsilon: float, model: GrossErrorModel, alpha_max: float = 2.0,
         if a == 0.0 and epsilon == 0.0:
             lam = 1.0
         else:
+            last = [r.lambda_ for r in rows[-2:]]
+            hint = 2.0 * last[1] - last[0] if len(last) == 2 and None not in last else prev_lam
             try:
-                lam = solve_mgf_root(lalpha_increment(x0, p), w0, hint=prev_lam)
+                lam = solve_mgf_root(lalpha_increment(x0, p, y), w0, hint=hint)
             except (NoPositiveRootError, MgfDivergenceError):
                 rows.append(GridRow(float(a), None, None, None, None))
                 continue
         prev_lam = lam
-        info = averaged(lalpha_increment(x1, p), w1)
+        info = averaged(lalpha_increment(x1, p, y), w1)
         rows.append(GridRow(float(a), lam, info, lam * info, None))
 
     base = next((r.objective for r in rows if r.alpha == 0.0 and r.objective is not None), None)

@@ -416,6 +416,23 @@ class TestKernelsMatchWholeArrayForms:
         assert type(got) is type(want) and np.shape(got) == np.shape(want)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.21, 2.0])
+    @pytest.mark.parametrize("kind", [CHUNK + 1, "block"])
+    def test_increment_into_out(self, rng, alpha, kind):
+        x = increment_input(kind, rng)
+        p = LocalParams(alpha, NominalFamily(0.3, 1.7, 1.3))
+        out = np.empty(x.shape)
+        assert lalpha_increment(x, p, out=out) is out
+        assert np.array_equal(out, lalpha_increment(x, p))
+        if alpha == 0.0:  # the log-likelihood ratio, rounded as written
+            assert np.array_equal(out, (1.7 - 0.3) * (x - 0.5 * (0.3 + 1.7)) / 1.3**2)
+
+    @pytest.mark.parametrize("out", [np.empty(5), np.empty((4, 2))[:, 0]],
+                             ids=["shape", "strided"])
+    def test_increment_out_checked(self, fam, out):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            lalpha_increment(np.zeros(4), LocalParams(0.21, fam), out)
+
     @pytest.mark.parametrize("coef", [1.0, CHAN2_COEF], ids=["xs", "chan2"])
     @pytest.mark.parametrize("case", ["one_row", "rows", "mixed_fills", "large_u"])
     def test_scan(self, rng, coef, case):
@@ -450,6 +467,12 @@ class TestAllocation:
         x = rng.normal(0.0, 3.0, 10**6)
         peak = self.peak(lalpha_increment, x, LocalParams(0.21, fam))
         assert peak < x.nbytes + 2 * CHUNK * x.itemsize
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.21])
+    def test_increment_into_out_takes_under_two_chunks(self, fam, rng, alpha):
+        x = rng.normal(0.0, 3.0, 10**6)
+        peak = self.peak(lalpha_increment, x, LocalParams(alpha, fam), np.empty_like(x))
+        assert peak < 2 * CHUNK * x.itemsize
 
     def test_window_monitor_step(self, rng):
         K, window = 100, 200

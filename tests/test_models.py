@@ -201,23 +201,51 @@ class TestMixtureStreamSampler:
         assert draws[0].tobytes() == draws[1].tobytes()
 
 
-def reference_draw(model, scenario, rng, t0, n):
-    """The sampler as first written: the theta array broadcast through
-    rng.normal, and the outliers merged with np.where."""
+def block_theta(model, scenario, t0, n):
     theta = np.full((scenario.K, n), model.nominal.theta0)
     if scenario.nu != math.inf:
         post = np.arange(t0 + 1, t0 + n + 1) >= scenario.nu
         theta[:scenario.m, post] = scenario.theta_post
-    values = rng.normal(theta, model.nominal.sigma, (scenario.K, n))
+    return theta
+
+
+def reference_draw(model, scenario, rng, t0, n):
+    """The composition sampler one cell at a time: the theta array broadcast
+    through rng.normal and a uniform per cell, then one outlier draw of as many
+    values as cells picked, handed out in C order."""
+    values = rng.normal(block_theta(model, scenario, t0, n), model.nominal.sigma,
+                        (scenario.K, n))
+    if model.epsilon > 0.0:
+        mask = rng.random((scenario.K, n)) < model.epsilon
+        outliers = iter(model.outlier.sample(rng, int(mask.sum())))
+        for cell in np.ndindex(mask.shape):
+            if mask[cell]:
+                values[cell] = next(outliers)
+    return values
+
+
+def full_outlier_draw(model, scenario, rng, t0, n):
+    """The earlier sampler: an outlier drawn for every cell, merged with
+    np.where.  Point-mass and clean models draw no outlier values from the
+    generator, so their paths must not have moved."""
+    values = rng.normal(block_theta(model, scenario, t0, n), model.nominal.sigma,
+                        (scenario.K, n))
     if model.epsilon > 0.0:
         mask = rng.random((scenario.K, n)) < model.epsilon
         values = np.where(mask, model.outlier.sample(rng, (scenario.K, n)), values)
     return values
 
 
+SCENARIOS = pytest.mark.parametrize("scenario", [
+    ChangeScenario.no_change(6),
+    ChangeScenario(K=6, m=2, nu=13, theta_post=2.5),  # inside the block at t0 = 8
+    ChangeScenario.immediate(6, 3, 2.0),
+], ids=["no_change", "change_in_block", "immediate"])
+
+
 class TestLeanDraw:
-    """The draw that scales and shifts standard normals in place equals the
-    reference form bit for bit.
+    """The draw that scales and shifts standard normals in place and writes
+    the outliers into the picked cells equals the reference form bit for bit.
 
     A platform whose numpy fuses theta + sigma * z into one rounding step
     fails here rather than shifting every sample path quietly.
@@ -227,19 +255,36 @@ class TestLeanDraw:
         "gaussian": OutlierSpec.gaussian_outlier(1.0, 3.0),
         "point_mass": OutlierSpec.point_mass_outlier(4.0),
     }
+    BLOCKS = ((0, 8), (8, 8), (16, 16), (32, 3))
 
-    @pytest.mark.parametrize("epsilon,outlier", [
-        (0.0, "gaussian"), (0.1, "gaussian"), (0.2, "point_mass")])
-    @pytest.mark.parametrize("scenario", [
-        ChangeScenario.no_change(6),
-        ChangeScenario(K=6, m=2, nu=13, theta_post=2.5),  # inside the block at t0 = 8
-        ChangeScenario.immediate(6, 3, 2.0),
-    ], ids=["no_change", "change_in_block", "immediate"])
-    def test_draw_matches_reference(self, epsilon, outlier, scenario):
+    def draws(self, epsilon, outlier, scenario, form):
         model = GrossErrorModel(epsilon, NominalFamily(0.5, 1.5, 1.7), self.OUTLIERS[outlier])
         sampler = MixtureStreamSampler(model, scenario)
         lean, ref = np.random.default_rng(5), np.random.default_rng(5)
-        for t0, n in ((0, 8), (8, 8), (16, 16), (32, 3)):
-            got = sampler.draw(lean, t0, n)
-            want = reference_draw(model, scenario, ref, t0, n)
+        for t0, n in self.BLOCKS:
+            yield sampler.draw(lean, t0, n), form(model, scenario, ref, t0, n)
+
+    @pytest.mark.parametrize("epsilon,outlier", [
+        (0.0, "gaussian"), (0.1, "gaussian"), (0.2, "point_mass")])
+    @SCENARIOS
+    def test_draw_matches_reference(self, epsilon, outlier, scenario):
+        for got, want in self.draws(epsilon, outlier, scenario, reference_draw):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("epsilon,outlier", [(0.0, "gaussian"), (0.2, "point_mass")])
+    @SCENARIOS
+    def test_paths_without_outlier_draws_unchanged(self, epsilon, outlier, scenario):
+        for got, want in self.draws(epsilon, outlier, scenario, full_outlier_draw):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("nu", [math.inf, 501], ids=["no_change", "straddles"])
+    def test_law_is_the_mixture(self, nu):
+        # 10^6 draws mapped through the mixture CDF of their own cell are uniform
+        fam, out = NominalFamily(0.0, 1.0, 1.0), OutlierSpec.gaussian_outlier(1.0, 3.0)
+        model = GrossErrorModel(0.1, fam, out)
+        scenario = ChangeScenario(K=1000, m=500, nu=nu, theta_post=2.0)
+        x = MixtureStreamSampler(model, scenario).draw(np.random.default_rng(2024), 0, 1000)
+        theta = block_theta(model, scenario, 0, 1000)
+        cdf = (0.9 * stats.norm.cdf(x, theta, fam.sigma)
+               + 0.1 * stats.norm.cdf(x, out.mean, out.sd))
+        assert stats.kstest(cdf.ravel(), "uniform").pvalue > 1e-3
