@@ -39,7 +39,6 @@ from .errors import (
     NoDensityError,
     NoPositiveRootError,
     NumericError,
-    QuadratureError,
 )
 from .experiments import (
     CurvePoint,
@@ -79,7 +78,6 @@ from .tuning import (
     b_gamma,
     d_opt,
     info_number,
-    info_number_closed_form,
     solve_mgf_root,
     tuning_grid,
 )

@@ -164,15 +164,24 @@ class GlrParams:
             raise ConfigError(f"unknown GLR variant {self.variant!r}")
 
 
-def _mix_log_term(u, p0: float, coef: float):
-    """log(1 - p0 + coef * p0 * exp(u)), overflow-safe for large u."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    small = u <= 30.0
-    out[small] = np.log1p(p0 * (coef * np.exp(u[small]) - 1.0))
-    big = ~small
-    out[big] = u[big] + np.log(coef * p0 + (1.0 - p0) * np.exp(-u[big]))
-    return out
+def _mix_log_term(v: np.ndarray, p0: float, coef: float):
+    """log(1 - p0 + coef * p0 * exp(v)), written into the float array v and returned.
+
+    The whole array takes log1p(p0 * (coef * exp(v) - 1)) in place when no
+    value exceeds 30; otherwise values above 30 take the overflow-safe form
+    v + log(coef * p0 + (1 - p0) * exp(-v)) and the rest the first.
+    """
+    if v.max() > 30.0:
+        small = v <= 30.0
+        big = ~small
+        v[big] = v[big] + np.log(coef * p0 + (1.0 - p0) * np.exp(-v[big]))
+        v[small] = np.log1p(p0 * (coef * np.exp(v[small]) - 1.0))
+        return v
+    np.exp(v, out=v)
+    np.multiply(v, coef, out=v)
+    np.subtract(v, 1.0, out=v)
+    np.multiply(v, p0, out=v)
+    return np.log1p(v, out=v)
 
 
 def glr_scan_stat(history: np.ndarray, p0: float, coef: float, work=None):
@@ -192,20 +201,12 @@ def glr_scan_stat(history: np.ndarray, p0: float, coef: float, work=None):
     np.maximum(u, 0.0, out=u)
     np.multiply(u, 0.5, out=v)
     np.multiply(v, u, out=v)  # 0.5 * u * u
-    if v.max() > 30.0:
-        terms = _mix_log_term(v, p0, coef)
-    else:  # _mix_log_term's small-u branch over the whole block, in place
-        np.exp(v, out=v)
-        np.multiply(v, coef, out=v)
-        np.subtract(v, 1.0, out=v)
-        np.multiply(v, p0, out=v)
-        terms = np.log1p(v, out=v)
-    return terms.sum(axis=-2).max(axis=-1)
+    return _mix_log_term(v, p0, coef).sum(axis=-2).max(axis=-1)
 
 
 def glr_recursive_stat(w_star: np.ndarray, p0: float):
     """Recursive mixture statistic built on the alpha = 0 bank."""
-    return _mix_log_term(0.5 * np.asarray(w_star, dtype=float), p0, CHAN1_COEF).sum(axis=-1)
+    return _mix_log_term(np.multiply(w_star, 0.5), p0, CHAN1_COEF).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

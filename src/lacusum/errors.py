@@ -21,14 +21,6 @@ class MgfDivergenceError(NumericError):
         self.last_finite_lambda = last_finite_lambda
 
 
-class QuadratureError(NumericError):
-    """Numerical integration did not converge; carries the residual estimate."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class NoDensityError(ConfigError):
     """A density was requested for a distribution that has none (point mass)."""
 

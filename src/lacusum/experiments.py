@@ -17,7 +17,7 @@ from .calibration import RunEstimate, estimate_arl
 from .detectors import LAlphaScheme, Scheme
 from .errors import ConfigError, NumericError
 from .models import ChangeScenario, GrossErrorModel, MixtureStreamSampler
-from .tuning import QuadratureConfig, info_number, tuning_grid
+from .tuning import info_number, tuning_grid
 
 DEFAULT_M_GRID = (1, 3, 5, 8, 10, 15, 20, 30, 50, 100)
 
@@ -70,11 +70,7 @@ def _delay_bound_ratio(scheme: Scheme, model: GrossErrorModel, scenario: ChangeS
     """Observed delay over the first-order bound (b/m + d) / I_theta; report only."""
     if not isinstance(scheme, LAlphaScheme) or scheme.rule.kind != "soft_threshold":
         return None
-    try:
-        info = info_number(scenario.theta_post, model.epsilon, scheme.params.alpha,
-                           model, QuadratureConfig())
-    except NumericError:
-        return None
+    info = info_number(scenario.theta_post, model.epsilon, scheme.params.alpha, model)
     if info <= 0:
         return None
     bound = (scheme.rule.b / scenario.m + scheme.rule.d) / info
@@ -151,31 +147,29 @@ BREAKDOWN_ALPHA_MAX, BREAKDOWN_STEP = 2.0, 0.01
 
 
 def tuning_curves(model: GrossErrorModel) -> dict[str, list[tuple]]:
-    """CSV-ready series for the four tuning diagnostics, by quadrature.
+    """CSV-ready series for the four tuning diagnostics; efficiencies by quadrature.
 
     info_vs_theta:      (alpha, theta, info)
     efficiency_vs_alpha:(epsilon, alpha, efficiency)
     efficiency_vs_eps:  (epsilon, efficiency)  at the curve alpha
     breakdown_vs_alpha: (alpha, d_alpha, m_alpha, eps_star)
     """
-    qc = QuadratureConfig()
-
     with warnings.catch_warnings():
         # the diagnostic scan deliberately covers shifts below theta1
         warnings.simplefilter("ignore", UserWarning)
-        info_series = [(a, th, info_number(float(th), 0.0, a, model, qc))
+        info_series = [(a, th, info_number(float(th), 0.0, a, model))
                        for a in INFO_ALPHAS for th in THETA_GRID]
 
     eff_alpha_series = []
     for eps in EFF_EPSILONS:
-        for row in tuning_grid(float(eps), model, EFF_ALPHA_MAX, EFF_ALPHA_STEP, qc):
+        for row in tuning_grid(float(eps), model, EFF_ALPHA_MAX, EFF_ALPHA_STEP):
             if row.efficiency is not None:
                 eff_alpha_series.append((float(eps), row.alpha, row.efficiency))
 
     eff_eps_series = []
     a = EPS_CURVE_ALPHA
     for eps in EPS_GRID:
-        rows = tuning_grid(float(eps), model, a, a, qc)  # just alpha in {0, a}
+        rows = tuning_grid(float(eps), model, a, a)  # just alpha in {0, a}
         e = next((r.efficiency for r in rows if r.alpha == a), None)
         if e is not None:
             eff_eps_series.append((float(eps), e))

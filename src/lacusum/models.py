@@ -38,11 +38,6 @@ class NominalFamily:
         if not self.theta1 > self.theta0:
             raise ConfigError(f"theta1 ({self.theta1}) must exceed theta0 ({self.theta0})")
 
-    @property
-    def is_standard(self) -> bool:
-        """True for the (theta0, theta1, sigma) = (0, 1, 1) normalization."""
-        return self.theta0 == 0.0 and self.theta1 == 1.0 and self.sigma == 1.0
-
 
 def nominal_pdf(x, theta: float, fam: NominalFamily):
     """Gaussian density with mean theta and scale fam.sigma; vectorized in x."""

@@ -19,13 +19,12 @@ import numpy as np
 from scipy.special import roots_hermite
 
 from .detectors import LocalParams, lalpha_increment
-from .errors import ConfigError, MgfDivergenceError, NoPositiveRootError, NumericError, QuadratureError
-from .models import GrossErrorModel, NominalFamily
+from .errors import ConfigError, MgfDivergenceError, NoPositiveRootError, NumericError
+from .models import GrossErrorModel, SQRT_2PI
 
 MC_MIN_SAMPLES = 100_000
 
-# the MGF root stops at |phi - 1| below this; the info number's node-doubling
-# check allows this residual
+# the MGF root stops at |phi - 1| below this
 QUAD_TOLERANCE = 1e-6
 
 # Gauss-Hermite nodes per Gaussian component
@@ -55,17 +54,14 @@ class QuadratureConfig:
         return cls(method="gauss_hermite_mixture")
 
 
-def _gh_points(n: int):
-    t, w = roots_hermite(n)
-    return t * math.sqrt(2.0), w / math.sqrt(math.pi)
-
-
-def mixture_nodes(model: GrossErrorModel, theta: float, n_nodes: int):
+def mixture_nodes(model: GrossErrorModel, theta: float):
     """Quadrature nodes and probability weights for E_{h_theta}[phi(X)].
 
-    Gaussian components use Gauss-Hermite; a point mass is a single node.
+    Gaussian components use QUAD_NODES Gauss-Hermite nodes; a point mass is a
+    single node.
     """
-    t, w = _gh_points(n_nodes)
+    t, w = roots_hermite(QUAD_NODES)
+    t, w = t * math.sqrt(2.0), w / math.sqrt(math.pi)
     fam = model.nominal
     xs = [theta + fam.sigma * t]
     ws = [(1.0 - model.epsilon) * w]
@@ -89,49 +85,41 @@ def _support(model: GrossErrorModel, thetas, qc: QuadratureConfig) -> list[tuple
     if qc.method == "monte_carlo":
         rng = np.random.default_rng(qc.seed)
         return [(model.sample(rng, theta, qc.n_samples), None) for theta in thetas]
-    return [mixture_nodes(model, theta, QUAD_NODES) for theta in thetas]
+    return [mixture_nodes(model, theta) for theta in thetas]
 
 
-def info_number_closed_form(theta: float, alpha: float) -> float:
-    """Contamination-free info number for the (0, 1, 1)-normalized family."""
-    if alpha == 0.0:
-        return theta - 0.5
-    c = (2.0 * math.pi) ** (-alpha / 2.0)
-    s = 2.0 * (1.0 + alpha)
-    return (c / (alpha * math.sqrt(1.0 + alpha))) * (
-        math.exp(-alpha * (theta - 1.0) ** 2 / s) - math.exp(-alpha * theta**2 / s))
+def info_number(theta: float, epsilon: float, alpha: float, model: GrossErrorModel) -> float:
+    """Expected local increment under the contaminated post-change model, exactly.
 
-
-def info_number(theta: float, epsilon: float, alpha: float, model: GrossErrorModel,
-                qc: QuadratureConfig | None = None) -> float:
-    """Expected local increment under the contaminated post-change model.
-
-    Uses the closed form in the contamination-free, standard-normalized case;
-    otherwise integrates the increment against the mixture.  Quadrature is
-    validated by node doubling; disagreement beyond tolerance raises
-    QuadratureError carrying the residual.
+    For X ~ N(m, s^2), E[exp(-a (X - t)^2)] = exp(-a (m - t)^2 / (1 + 2 a s^2))
+    / sqrt(1 + 2 a s^2), a point mass being s = 0; with a = alpha / (2 sigma^2)
+    the increment's mean is c / alpha times that at t = theta1 less that at
+    t = theta0, each weighted over the mixture's components.  At alpha = 0 the
+    increment is linear in x, so its mean is the increment at E[X].
     """
-    qc = qc or QuadratureConfig()
     model = model.with_epsilon(epsilon)
     fam = model.nominal
     if theta < fam.theta1:
         warnings.warn(f"info number evaluated below theta1 ({theta} < {fam.theta1}); "
                       "detectors are designed for shifts of at least theta1",
                       stacklevel=2)
-    if epsilon == 0.0 and fam.is_standard:
-        return info_number_closed_form(theta, alpha)
-    p = LocalParams(alpha=alpha, fam=fam)
-    (x, w), = _support(model, (theta,), qc)
-    y = lalpha_increment(x, p)
-    if w is None:
-        return float(np.mean(y))
-    coarse = float(np.dot(w, y))
-    x2, w2 = mixture_nodes(model, theta, 2 * QUAD_NODES - 1)
-    fine = float(np.dot(w2, lalpha_increment(x2, p)))
-    residual = abs(fine - coarse)
-    if residual > max(QUAD_TOLERANCE, 1e-8 * max(1.0, abs(fine))):
-        raise QuadratureError(f"info quadrature residual {residual:.3e}", residual=residual)
-    return fine
+    # (weight, mean, sd) of each mixture component
+    parts = [(1.0 - epsilon, theta, fam.sigma)]
+    if epsilon > 0.0:
+        out = model.outlier
+        parts.append((epsilon, out.mean, out.sd) if out.kind == "gaussian"
+                     else (epsilon, out.location, 0.0))
+    if alpha == 0.0:
+        mean = sum(w * m for w, m, _ in parts)
+        return (fam.theta1 - fam.theta0) * (mean - 0.5 * (fam.theta0 + fam.theta1)) / fam.sigma**2
+    a = alpha / (2.0 * fam.sigma**2)
+
+    def bump_mean(t: float) -> float:
+        return sum(w * math.exp(-a * (m - t) ** 2 / (1.0 + 2.0 * a * s * s))
+                   / math.sqrt(1.0 + 2.0 * a * s * s) for w, m, s in parts)
+
+    c = (SQRT_2PI * fam.sigma) ** (-alpha)
+    return c * (bump_mean(fam.theta1) - bump_mean(fam.theta0)) / alpha
 
 
 def solve_mgf_root(values: np.ndarray, weights: np.ndarray | None = None,
@@ -192,6 +180,15 @@ def solve_mgf_root(values: np.ndarray, weights: np.ndarray | None = None,
     return 0.5 * (lo + hi)
 
 
+def alpha_points(alpha_max: float, step: float) -> list[float]:
+    """The alpha grid 0, step, 2 step, ... up to alpha_max, rounded to 10 decimals."""
+    if not (0.0 <= alpha_max < math.inf and 0.0 < step < math.inf):
+        raise ConfigError(f"alpha grid needs a finite alpha_max >= 0 and a finite step > 0, "
+                          f"got alpha_max = {alpha_max}, step = {step}")
+    n_pts = int(round(alpha_max / step)) + 1
+    return np.round(np.arange(n_pts) * step, 10).tolist()
+
+
 @dataclass(frozen=True)
 class GridRow:
     """One alpha grid point: root, info number, objective, efficiency."""
@@ -213,13 +210,10 @@ def tuning_grid(epsilon: float, model: GrossErrorModel, alpha_max: float = 2.0,
     search starts from the line through the two previous roots when both
     exist, else from the last root found.
     """
-    if step <= 0:
-        raise ConfigError("grid step must be positive")
+    alphas = alpha_points(alpha_max, step)
     qc = qc or QuadratureConfig()
     model = model.with_epsilon(epsilon)
     fam = model.nominal
-    n_pts = int(round(alpha_max / step)) + 1
-    alphas = np.round(np.arange(n_pts) * step, 10)
 
     (x0, w0), (x1, w1) = _support(model, (fam.theta0, fam.theta1), qc)
 
@@ -233,7 +227,7 @@ def tuning_grid(epsilon: float, model: GrossErrorModel, alpha_max: float = 2.0,
     rows = []
     prev_lam = None
     for a in alphas:
-        p = LocalParams(alpha=float(a), fam=fam)
+        p = LocalParams(alpha=a, fam=fam)
         if a == 0.0 and epsilon == 0.0:
             lam = 1.0
         else:
@@ -242,11 +236,11 @@ def tuning_grid(epsilon: float, model: GrossErrorModel, alpha_max: float = 2.0,
             try:
                 lam = solve_mgf_root(lalpha_increment(x0, p, y), w0, hint=hint)
             except (NoPositiveRootError, MgfDivergenceError):
-                rows.append(GridRow(float(a), None, None, None, None))
+                rows.append(GridRow(a, None, None, None, None))
                 continue
         prev_lam = lam
         info = averaged(lalpha_increment(x1, p, y), w1)
-        rows.append(GridRow(float(a), lam, info, lam * info, None))
+        rows.append(GridRow(a, lam, info, lam * info, None))
 
     base = next((r.objective for r in rows if r.alpha == 0.0 and r.objective is not None), None)
     if base is not None:

@@ -2,15 +2,20 @@
 
 solve_lambda finds the MGF root at one alpha on its own sample, without the
 tuning grid's warm start; inverse_haar_transform inverts haar_transform;
-lalpha_increment_whole and glr_scan_stat_whole are the whole-array forms of
-the two detector kernels, which the chunked and buffered kernels must match
-bit for bit.
+lalpha_increment_whole, glr_scan_stat_whole and glr_recursive_stat_whole are
+the whole-array forms of the detector kernels, which the chunked and
+buffered kernels must match bit for bit; info_number_closed_form and
+info_number_quadrature are the contamination-free closed form and the
+401-node Gauss-Hermite integral that the exact info number replaced.
 """
 
+import math
+
 import numpy as np
+from scipy.special import roots_hermite
 
 from lacusum import LocalParams, QuadratureConfig, lalpha_increment, solve_mgf_root
-from lacusum.detectors import _mix_log_term
+from lacusum.detectors import CHAN1_COEF
 from lacusum.models import SQRT_2PI
 from lacusum.profiles import SQRT2, _check_dyadic
 from lacusum.tuning import _support
@@ -76,5 +81,50 @@ def glr_scan_stat_whole(history, p0, coef):
     tail_sums = np.cumsum(rev, axis=-1)
     j = np.arange(1, history.shape[-1] + 1, dtype=float)
     u = np.maximum(tail_sums / np.sqrt(j), 0.0)
-    terms = _mix_log_term(0.5 * u * u, p0, coef)
+    terms = mix_log_term(0.5 * u * u, p0, coef)
     return terms.sum(axis=-2).max(axis=-1)
+
+
+def glr_recursive_stat_whole(w_star, p0):
+    """glr_recursive_stat with a fresh array for every operation."""
+    return mix_log_term(0.5 * np.asarray(w_star, dtype=float), p0, CHAN1_COEF).sum(axis=-1)
+
+
+def mix_log_term(u, p0, coef):
+    """log(1 - p0 + coef * p0 * exp(u)) into a fresh array, split by a mask at u = 30."""
+    u = np.asarray(u, dtype=float)
+    out = np.empty_like(u)
+    small = u <= 30.0
+    out[small] = np.log1p(p0 * (coef * np.exp(u[small]) - 1.0))
+    big = ~small
+    out[big] = u[big] + np.log(coef * p0 + (1.0 - p0) * np.exp(-u[big]))
+    return out
+
+
+def info_number_closed_form(theta, alpha):
+    """Contamination-free info number for the (0, 1, 1)-normalized family."""
+    if alpha == 0.0:
+        return theta - 0.5
+    c = (2.0 * math.pi) ** (-alpha / 2.0)
+    s = 2.0 * (1.0 + alpha)
+    return (c / (alpha * math.sqrt(1.0 + alpha))) * (
+        math.exp(-alpha * (theta - 1.0) ** 2 / s) - math.exp(-alpha * theta**2 / s))
+
+
+def info_number_quadrature(theta, epsilon, alpha, model):
+    """E[increment] under h_theta by Gauss-Hermite quadrature, 401 nodes per
+    Gaussian component; a point-mass outlier is a single node."""
+    model = model.with_epsilon(epsilon)
+    fam, out = model.nominal, model.outlier
+    t, w = roots_hermite(401)
+    t, w = t * math.sqrt(2.0), w / math.sqrt(math.pi)
+    xs, ws = [theta + fam.sigma * t], [(1.0 - epsilon) * w]
+    if epsilon > 0.0:
+        if out.kind == "gaussian":
+            xs.append(out.mean + out.sd * t)
+            ws.append(epsilon * w)
+        else:
+            xs.append(np.array([out.location]))
+            ws.append(np.array([epsilon]))
+    y = lalpha_increment(np.concatenate(xs), LocalParams(alpha, fam))
+    return float(np.dot(np.concatenate(ws), y))

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 from lacusum import (
+    ConfigError,
     GrossErrorModel,
     LAlphaScheme,
     FusionRule,
@@ -21,6 +22,7 @@ from lacusum import (
     breakdown_report,
     density_power_divergence,
     increment_sup,
+    lalpha_increment,
     m_alpha,
     nominal_pdf,
     simulate_run_lengths,
@@ -39,6 +41,16 @@ def dpd_integrand(x, fam, alpha):
 def m_alpha_upper_bound(fam, alpha):
     """Analytic bound 2 (2 pi sigma^2)^(-alpha/2) / alpha on the increment supremum."""
     return 2.0 * (SQRT_2PI * fam.sigma) ** (-alpha) / alpha
+
+
+def increment_slope(x, fam, alpha):
+    """A positive multiple of the increment's derivative at x."""
+    a = alpha / (2.0 * fam.sigma**2)
+    u0, u1 = x - fam.theta0, x - fam.theta1
+    return u0 * np.exp(-a * u0 * u0) - u1 * np.exp(-a * u1 * u1)
+
+
+SUP_FAMILIES = [(0.0, 1.0, 1.0), (0.0, 0.2, 1.0), (1.0, 2.5, 0.7), (0.0, 40.0, 1.0)]
 
 
 def worst_case_drift(fam, alpha, epsilon):
@@ -76,7 +88,6 @@ class TestIncrementSup:
         assert m_alpha(fam, 0.0) == math.inf
 
     def test_dense_grid_oracle(self, fam):
-        from lacusum import lalpha_increment
         for alpha in (0.21, 0.51, 1.0):
             xs = np.arange(-10.0, 11.0, 1e-4)
             grid_max = float(np.max(lalpha_increment(xs, LocalParams(alpha, fam))))
@@ -91,6 +102,37 @@ class TestIncrementSup:
         res = increment_sup(fam, 0.51)
         assert 1.0 < res.x < 4.0
         assert res.value == pytest.approx(0.50961, abs=1e-4)
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.002, 0.005, 0.21, 2.0])
+    @pytest.mark.parametrize("fam_args", SUP_FAMILIES)
+    def test_bounds_increment_far_into_the_tail(self, fam_args, alpha):
+        # for small alpha the argmax lies tens of sigmas beyond theta1
+        f = NominalFamily(*fam_args)
+        xs = np.arange(f.theta0 - 20.0 * f.sigma, f.theta1 + 200.0 * f.sigma, 1e-3 * f.sigma)
+        grid_max = float(np.max(lalpha_increment(xs, LocalParams(alpha, f))))
+        val = m_alpha(f, alpha)
+        # the grid may land within rounding of the argmax
+        assert val >= grid_max * (1.0 - 1e-14)
+        assert val <= m_alpha_upper_bound(f, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.005, 0.21, 2.0])
+    @pytest.mark.parametrize("fam_args", SUP_FAMILIES)
+    def test_slope_changes_sign_at_argmax(self, fam_args, alpha):
+        f = NominalFamily(*fam_args)
+        res = increment_sup(f, alpha)
+        step = 1e-6 * f.sigma / math.sqrt(alpha)
+        assert res.x >= f.theta1  # equal when the modes are far apart
+        assert increment_slope(res.x - step, f, alpha) > 0.0
+        assert increment_slope(res.x + step, f, alpha) < 0.0
+        assert res.value == lalpha_increment(res.x, LocalParams(alpha, f))
+
+    @pytest.mark.parametrize("alpha", [0.21, 0.51, 1.0, 2.0])
+    def test_modes_forty_sigmas_apart(self, alpha):
+        # f0's bump is negligible at theta1: the supremum is f1's peak, c / alpha
+        f = NominalFamily(0.0, 40.0, 1.0)
+        res = increment_sup(f, alpha)
+        assert res.x == pytest.approx(40.0, abs=1e-9)
+        assert res.value == pytest.approx(SQRT_2PI ** (-alpha) / alpha, rel=1e-12)
 
 
 class TestBreakdownPoint:
@@ -142,6 +184,13 @@ class TestAlphaOpt:
         reports = [BreakdownReport(a, 1.0, 1.0, e)
                    for a, e in ((0.0, 0.0), (0.1, 0.2), (0.2, 0.2), (0.3, 0.1))]
         assert alpha_opt(reports) is reports[1]
+
+    @pytest.mark.parametrize("alpha_max,step", [(-0.5, 0.01), (math.nan, 0.01),
+                                                (math.inf, 0.01), (2.0, math.nan),
+                                                (2.0, math.inf)])
+    def test_bad_grid_raises(self, fam, alpha_max, step):
+        with pytest.raises(ConfigError, match="alpha grid"):
+            breakdown_grid(fam, alpha_max, step)
 
 
 class TestEmpiricalCorroboration:

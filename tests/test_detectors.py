@@ -36,7 +36,7 @@ from lacusum.detectors import (
 )
 from lacusum.models import SQRT_2PI
 
-from _oracles import glr_scan_stat_whole, lalpha_increment_whole
+from _oracles import glr_recursive_stat_whole, glr_scan_stat_whole, lalpha_increment_whole
 
 
 def brute_force_cusum(llr_increments):
@@ -448,6 +448,19 @@ class TestKernelsMatchWholeArrayForms:
         # the window kernel hands the scan buffers sized to its full window
         work = np.empty((2, history.size + 1000))
         assert np.array_equal(glr_scan_stat(history, 0.1, coef, work), want)
+
+    @pytest.mark.parametrize("rows", [1, 250])
+    @pytest.mark.parametrize("case", ["small_u", "large_u"])
+    def test_recursive(self, rng, rows, case):
+        # chan1's bank, with half of some values above 30 in the large_u case
+        w = np.abs(rng.normal(0.0, 4.0, (rows, 100)))
+        if case == "large_u":
+            w[:, ::7] += 70.0
+        assert (0.5 * w.max() > 30.0) == (case == "large_u")
+        before = w.copy()
+        got = glr_recursive_stat(w, 0.1)
+        assert np.array_equal(got, glr_recursive_stat_whole(w, 0.1))
+        assert np.array_equal(w, before)  # the bank itself is left alone
 
 
 class TestAllocation:

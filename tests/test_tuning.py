@@ -22,14 +22,18 @@ from lacusum import (
     b_gamma,
     d_opt,
     info_number,
-    info_number_closed_form,
     solve_mgf_root,
     tuning_grid,
 )
 from lacusum import tuning
 from lacusum.tuning import alpha_oracle
 
-from _oracles import increment_values, solve_lambda
+from _oracles import (
+    increment_values,
+    info_number_closed_form,
+    info_number_quadrature,
+    solve_lambda,
+)
 
 QUAD = QuadratureConfig.quadrature()
 
@@ -49,23 +53,39 @@ class TestInfoNumber:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.21, 0.51, 1.0])
     @pytest.mark.parametrize("theta", [1.0, 1.5, 2.0])
-    def test_closed_form_vs_monte_carlo(self, model0, alpha, theta):
-        closed = info_number_closed_form(theta, alpha)
-        qc = QuadratureConfig.monte_carlo(1_000_000, seed=17)
-        mc = info_number(theta, 0.0, alpha, model0, qc)
-        # MC standard error of the increment mean at this sample size
+    def test_closed_form_vs_monte_carlo(self, model01, alpha, theta):
+        # the mean increment over 1e6 draws from the mixture, within 3 standard errors
         from lacusum import LocalParams, lalpha_increment
         rng = np.random.default_rng(17)
-        y = lalpha_increment(rng.normal(theta, 1.0, 200_000),
-                             LocalParams(alpha, model0.nominal))
-        se = y.std(ddof=1) / math.sqrt(1_000_000)
-        assert abs(mc - closed) < 3 * max(se, 1e-9)
+        for eps in (0.0, 0.1):
+            model = model01.with_epsilon(eps)
+            y = lalpha_increment(model.sample(rng, theta, 1_000_000),
+                                 LocalParams(alpha, model.nominal))
+            se = y.std(ddof=1) / math.sqrt(y.size)
+            assert abs(y.mean() - info_number(theta, eps, alpha, model)) < 3 * se, eps
 
     def test_quadrature_matches_closed_form_when_contaminated_family_standard(self, model01):
-        # eps > 0 goes through quadrature; at eps=0 it must agree with the closed form
+        # at eps = 0 the mixture's info number is the contamination-free closed form
         for alpha in (0.21, 0.51):
-            quad = info_number(1.5, 0.0, alpha, model01.with_epsilon(0.0), QUAD)
-            assert quad == pytest.approx(info_number_closed_form(1.5, alpha), abs=1e-10)
+            exact = info_number(1.5, 0.0, alpha, model01.with_epsilon(0.0))
+            assert exact == pytest.approx(info_number_closed_form(1.5, alpha), abs=1e-10)
+
+    @pytest.mark.parametrize("fam_args", [(0.0, 1.0, 1.0), (0.0, 0.2, 1.0), (1.0, 2.5, 0.7)])
+    def test_matches_gauss_hermite_quadrature(self, fam_args):
+        from lacusum import GrossErrorModel, NominalFamily, OutlierSpec
+        fam = NominalFamily(*fam_args)
+        outliers = (OutlierSpec.gaussian_outlier(0.0, 3.0),
+                    OutlierSpec.gaussian_outlier(fam.theta1 + 1.0, 0.5),
+                    OutlierSpec.point_mass_outlier(fam.theta1 + 0.7))
+        for outlier in outliers:
+            for eps in (0.0, 0.1, 0.3):
+                model = GrossErrorModel(eps, fam, outlier)
+                for alpha in (0.0, 0.01, 0.21, 0.51, 1.0, 2.0):
+                    for shift in (0.0, 0.5, 2.0):
+                        theta = fam.theta1 + shift * fam.sigma
+                        quad = info_number_quadrature(theta, eps, alpha, model)
+                        assert info_number(theta, eps, alpha, model) == pytest.approx(
+                            quad, rel=1e-10, abs=1e-10), (outlier, eps, alpha, theta)
 
     def test_large_shift_hurts_robust_statistic(self, model0):
         # the robust info number rises then falls in theta
@@ -83,7 +103,7 @@ class TestInfoNumber:
         from lacusum import GrossErrorModel, OutlierSpec
         model = GrossErrorModel(0.2, fam, OutlierSpec.point_mass_outlier(0.5))
         # increment at the symmetric point is zero, so only the nominal term remains
-        val = info_number(1.0, 0.2, 0.0, model, QUAD)
+        val = info_number(1.0, 0.2, 0.0, model)
         assert val == pytest.approx(0.8 * 0.5, abs=1e-9)
 
     def test_warns_below_design_shift(self, model0):
@@ -312,6 +332,15 @@ class TestAlphaOracle:
         assert all(r.lambda_ is None for r in rows)
         with pytest.raises(NumericError, match="no grid point admits a positive MGF root"):
             alpha_oracle(rows)
+
+
+class TestGridArguments:
+    @pytest.mark.parametrize("alpha_max,step", [(-1.0, 0.01), (math.nan, 0.01),
+                                                (math.inf, 0.01), (2.0, math.nan),
+                                                (2.0, math.inf)])
+    def test_bad_grid_raises(self, model01, alpha_max, step):
+        with pytest.raises(ConfigError, match="alpha grid"):
+            tuning_grid(0.1, model01, alpha_max=alpha_max, step=step, qc=QUAD)
 
 
 class TestDesignFormulas:
