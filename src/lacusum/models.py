@@ -58,9 +58,9 @@ class OutlierSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "point_mass"):
             raise ConfigError(f"unknown outlier kind {self.kind!r}")
-        if any(map(math.isnan, (self.mean, self.sd, self.location))):
+        if not all(map(math.isfinite, (self.mean, self.sd, self.location))):
             raise ConfigError(f"outlier mean {self.mean}, sd {self.sd} or location "
-                              f"{self.location} is not a number")
+                              f"{self.location} is not finite")
         if self.kind == "gaussian" and self.sd <= 0:
             raise ConfigError(f"gaussian outlier sd must be positive, got {self.sd}")
 

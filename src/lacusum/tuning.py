@@ -3,8 +3,9 @@
 Everything here is an expected value of the local increment Y under the
 contaminated model, or a function of two such expectations:
 
-  * info number      I(theta, eps, alpha) = E_{h_theta}[Y]
-  * MGF root         lambda(eps, alpha):  E_{h_theta0}[exp(lambda * Y)] = 1
+  * info number      I(theta, eps, alpha) = E_{h_theta}[Y], in closed form
+  * MGF root         lambda(eps, alpha):  E_{h_theta0}[exp(lambda * Y)] = 1, on
+                     quadrature nodes or a Monte Carlo sample (QuadratureConfig)
   * efficiency       e(eps, alpha) = lambda*I at alpha over lambda*I at 0, minus 1
 
 plus the closed-form design rules for the soft threshold d and the global
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_hermite
 
-from .detectors import LocalParams, lalpha_increment
+from .detectors import INCREMENT_CHUNK, LocalParams, lalpha_increment
 from .errors import ConfigError, MgfDivergenceError, NoPositiveRootError, NumericError
 from .models import GrossErrorModel, SQRT_2PI
 
@@ -33,7 +34,9 @@ QUAD_NODES = 201
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """How expectations are evaluated: deterministic quadrature or Monte Carlo."""
+    """How the MGF root's expectation is evaluated: deterministic quadrature or
+    Monte Carlo.  The info number is exact under either method, so Monte Carlo
+    estimates lambda only."""
 
     method: str = "gauss_hermite_mixture"
     n_samples: int = 1_000_000
@@ -76,16 +79,15 @@ def mixture_nodes(model: GrossErrorModel, theta: float):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _support(model: GrossErrorModel, thetas, qc: QuadratureConfig) -> list[tuple]:
-    """(x, weights) under h_theta for each theta in turn, per the chosen method.
+def _support(model: GrossErrorModel, theta: float, qc: QuadratureConfig) -> tuple:
+    """(x, weights) under h_theta per the chosen method.
 
-    Monte Carlo draws qc.n_samples values at each theta from one
-    default_rng(qc.seed), weights None; quadrature returns mixture_nodes.
+    Monte Carlo returns the first qc.n_samples draws from default_rng(qc.seed),
+    weights None; quadrature returns mixture_nodes.
     """
     if qc.method == "monte_carlo":
-        rng = np.random.default_rng(qc.seed)
-        return [(model.sample(rng, theta, qc.n_samples), None) for theta in thetas]
-    return [mixture_nodes(model, theta) for theta in thetas]
+        return model.sample(np.random.default_rng(qc.seed), theta, qc.n_samples), None
+    return mixture_nodes(model, theta)
 
 
 def info_number(theta: float, epsilon: float, alpha: float, model: GrossErrorModel) -> float:
@@ -129,27 +131,37 @@ def solve_mgf_root(values: np.ndarray, weights: np.ndarray | None = None,
     Requires E[Y] < 0 (otherwise no positive root exists).  The MGF phi is
     convex with phi(0) = 1, so phi < 1 below the root and phi >= 1 above it;
     a non-finite phi also marks lambda as above the root.  Each evaluation
-    fills one buffer with exp(lambda Y) and reads phi and phi' = E[Y exp(lambda Y)]
-    off it.  From the hint (or 1) the solver takes Newton steps on log phi,
-    which is also convex, so steps from above the root converge monotonically.
-    A step that leaves the bracket (lo, hi), or fails to halve the step before
-    last, is replaced by bisection, or by doubling lambda while hi is unknown.
-    Stops at a bracketed lambda with |phi - 1| < tolerance.
+    runs over the sample INCREMENT_CHUNK values at a time: it fills one chunk
+    of scratch with exp(lambda Y), reads phi's and phi' = E[Y exp(lambda Y)]'s
+    partial sums off it, and adds them up in chunk order.  From the hint (or 1)
+    the solver takes Newton steps on log phi, which is also convex, so steps
+    from above the root converge monotonically.  A step that leaves the
+    bracket (lo, hi), or fails to halve the step before last, is replaced by
+    bisection, or by doubling lambda while hi is unknown.  Stops at a
+    bracketed lambda with |phi - 1| < tolerance.
     """
     y = np.asarray(values, dtype=float)
     w = None if weights is None else np.asarray(weights, dtype=float) / np.sum(weights)
     mean = float(np.mean(y) if w is None else np.dot(w, y))
     if mean >= 0.0:
         raise NoPositiveRootError(f"E[Y] = {mean:.6g} >= 0: no positive MGF root exists")
-    buf, wy, n = np.empty_like(y), (y if w is None else w * y), (y.size if w is None else 1.0)
+    wy, n = (y, y.size) if w is None else (w * y, 1.0)
+    # the chunk stays in cache through the multiply, exp and both sums
+    scratch = np.empty(min(y.size, INCREMENT_CHUNK))
 
     def phi(lam: float) -> tuple[float, float]:
-        np.multiply(y, lam, out=buf)
+        total = deriv = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            np.exp(buf, out=buf)
-            total = buf.sum() if w is None else np.dot(w, buf)
-            # einsum sums in one fixed order; BLAS dot splits the sum by thread count
-            return float(total) / n, float(np.einsum("i,i->", wy, buf)) / n
+            for start in range(0, y.size, INCREMENT_CHUNK):
+                part = slice(start, start + INCREMENT_CHUNK)
+                ys = y[part]
+                buf = scratch[:ys.size]
+                np.multiply(ys, lam, out=buf)
+                np.exp(buf, out=buf)
+                total += buf.sum() if w is None else np.dot(w[part], buf)
+                # einsum sums in one fixed order; BLAS dot splits the sum by thread count
+                deriv += np.einsum("i,i->", wy[part], buf)
+        return float(total) / n, float(deriv) / n
 
     lo, hi, hi_finite, step, older = 0.0, math.inf, False, math.inf, math.inf
     lam = hint if hint and hint > 0 else 1.0
@@ -202,44 +214,41 @@ class GridRow:
 
 def tuning_grid(epsilon: float, model: GrossErrorModel, alpha_max: float = 2.0,
                 step: float = 0.01, qc: QuadratureConfig | None = None) -> list[GridRow]:
-    """Evaluate lambda, I, lambda*I and e over the alpha grid with one shared sample.
+    """Evaluate lambda, I, lambda*I and e over the alpha grid.
 
-    The same pre- and post-change draws are reused at every grid point
-    (common random numbers), which keeps the argmax stable; grid points with
-    no positive root are recorded with None entries and skipped.  Each root
-    search starts from the line through the two previous roots when both
-    exist, else from the last root found.
+    I is info_number at theta1, exact under either method; lambda is solved
+    on one pre-change support, the same quadrature nodes or Monte Carlo draws
+    at every grid point (common random numbers), which keeps the argmax
+    stable.  Grid points with no positive root are recorded with None
+    entries and skipped.  Each root search starts from the line through the
+    two previous roots when both exist, else from the last root found.
     """
     alphas = alpha_points(alpha_max, step)
     qc = qc or QuadratureConfig()
     model = model.with_epsilon(epsilon)
     fam = model.nominal
 
-    (x0, w0), (x1, w1) = _support(model, (fam.theta0, fam.theta1), qc)
+    x0, w0 = _support(model, fam.theta0, qc)
 
-    def averaged(values, weights):
-        return float(np.mean(values)) if weights is None else float(np.dot(weights, values))
-
-    # one increment buffer for every alpha, pre-change side then post-change:
-    # a fresh sample-sized array per call left the heap to glibc's trimming,
-    # which refaulted it at every alpha
+    # one increment buffer for every alpha: a fresh sample-sized array per
+    # call left the heap to glibc's trimming, which refaulted it at every alpha
     y = np.empty_like(x0)
     rows = []
     prev_lam = None
     for a in alphas:
-        p = LocalParams(alpha=a, fam=fam)
         if a == 0.0 and epsilon == 0.0:
             lam = 1.0
         else:
             last = [r.lambda_ for r in rows[-2:]]
             hint = 2.0 * last[1] - last[0] if len(last) == 2 and None not in last else prev_lam
             try:
-                lam = solve_mgf_root(lalpha_increment(x0, p, y), w0, hint=hint)
+                lam = solve_mgf_root(lalpha_increment(x0, LocalParams(a, fam), y), w0,
+                                     hint=hint)
             except (NoPositiveRootError, MgfDivergenceError):
                 rows.append(GridRow(a, None, None, None, None))
                 continue
         prev_lam = lam
-        info = averaged(lalpha_increment(x1, p, y), w1)
+        info = info_number(fam.theta1, epsilon, a, model)
         rows.append(GridRow(a, lam, info, lam * info, None))
 
     base = next((r.objective for r in rows if r.alpha == 0.0 and r.objective is not None), None)

@@ -1,7 +1,9 @@
 """Reference forms that the library no longer exports, kept as test oracles.
 
 solve_lambda finds the MGF root at one alpha on its own sample, without the
-tuning grid's warm start; inverse_haar_transform inverts haar_transform;
+tuning grid's warm start; solve_mgf_root_whole is the MGF root solver that
+evaluates phi over the whole sample at once, which the chunked solver must
+match to summation order; inverse_haar_transform inverts haar_transform;
 lalpha_increment_whole, glr_scan_stat_whole and glr_recursive_stat_whole are
 the whole-array forms of the detector kernels, which the chunked and
 buffered kernels must match bit for bit; info_number_closed_form and
@@ -14,16 +16,17 @@ import math
 import numpy as np
 from scipy.special import roots_hermite
 
-from lacusum import LocalParams, QuadratureConfig, lalpha_increment, solve_mgf_root
+from lacusum import (LocalParams, MgfDivergenceError, NoPositiveRootError, QuadratureConfig,
+                     lalpha_increment, solve_mgf_root)
 from lacusum.detectors import CHAN1_COEF
 from lacusum.models import SQRT_2PI
 from lacusum.profiles import SQRT2, _check_dyadic
-from lacusum.tuning import _support
+from lacusum.tuning import QUAD_TOLERANCE, _support
 
 
 def increment_values(model, theta, alpha, qc):
     """(Y values, weights) for the increment under h_theta, per the chosen method."""
-    (x, w), = _support(model, (theta,), qc)
+    x, w = _support(model, theta, qc)
     return lalpha_increment(x, LocalParams(alpha=alpha, fam=model.nominal)), w
 
 
@@ -39,6 +42,51 @@ def solve_lambda(epsilon, alpha, model, qc=None):
         return 1.0
     y, w = increment_values(model, model.nominal.theta0, alpha, qc)
     return solve_mgf_root(y, w)
+
+
+def solve_mgf_root_whole(values, weights=None, tolerance=QUAD_TOLERANCE, hint=None):
+    """solve_mgf_root with each evaluation of phi and phi' over one sample-sized buffer."""
+    y = np.asarray(values, dtype=float)
+    w = None if weights is None else np.asarray(weights, dtype=float) / np.sum(weights)
+    mean = float(np.mean(y) if w is None else np.dot(w, y))
+    if mean >= 0.0:
+        raise NoPositiveRootError(f"E[Y] = {mean:.6g} >= 0: no positive MGF root exists")
+    buf, wy, n = np.empty_like(y), (y if w is None else w * y), (y.size if w is None else 1.0)
+
+    def phi(lam):
+        np.multiply(y, lam, out=buf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.exp(buf, out=buf)
+            total = buf.sum() if w is None else np.dot(w, buf)
+            return float(total) / n, float(np.einsum("i,i->", wy, buf)) / n
+
+    lo, hi, hi_finite, step, older = 0.0, math.inf, False, math.inf, math.inf
+    lam = hint if hint and hint > 0 else 1.0
+    for _ in range(200):
+        val, slope = phi(lam)
+        if val < 1.0:
+            lo = lam
+        else:
+            hi, hi_finite = lam, math.isfinite(val)
+        if abs(val - 1.0) < tolerance and hi_finite:
+            return lam
+        if hi - lo < 1e-15 * max(1.0, hi) or hi < 1e-12:
+            break
+        newton = lam - math.log(val) * val / slope if 0 < val < math.inf and slope > 0 else lo
+        if lo < newton < hi and abs(newton - lam) <= 0.5 * older:
+            step, older, lam = abs(newton - lam), step, newton
+        elif hi < math.inf:
+            step, older, lam = 0.5 * (hi - lo), step, 0.5 * (lo + hi)
+        elif 2.0 * lam > 1e9:
+            raise NoPositiveRootError("no upper bracket found below lambda = 1e9")
+        else:
+            step, older, lam = lam, step, 2.0 * lam
+    if not hi_finite:
+        raise MgfDivergenceError(f"MGF not finite at lambda = {hi:g} before a root was "
+                                 "bracketed", last_finite_lambda=lo)
+    if lo == 0.0:
+        raise NoPositiveRootError("MGF never dips below 1 near the origin")
+    return 0.5 * (lo + hi)
 
 
 def inverse_haar_transform(coefficients) -> np.ndarray:

@@ -67,6 +67,16 @@ class TestOutlierSpec:
         with pytest.raises(ConfigError):
             OutlierSpec.point_mass_outlier(math.nan)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_parameters_rejected(self, value):
+        # an infinite outlier made info_number return inf at alpha = 0
+        for make in (lambda: OutlierSpec.point_mass_outlier(value),
+                     lambda: OutlierSpec.gaussian_outlier(mean=value),
+                     lambda: OutlierSpec.gaussian_outlier(0.0, sd=value),
+                     lambda: OutlierSpec("gaussian", location=value)):
+            with pytest.raises(ConfigError, match="is not finite"):
+                make()
+
     def test_point_mass_has_no_density(self):
         pm = OutlierSpec.point_mass_outlier(2.0)
         with pytest.raises(NoDensityError):

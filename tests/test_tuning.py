@@ -7,6 +7,7 @@ digits asserted.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,9 +34,11 @@ from _oracles import (
     info_number_closed_form,
     info_number_quadrature,
     solve_lambda,
+    solve_mgf_root_whole,
 )
 
 QUAD = QuadratureConfig.quadrature()
+CHUNK = tuning.INCREMENT_CHUNK
 
 # exact roots of the mixture MGF equation for eps=0.1, g = N(0, 3^2)
 LAMBDA_EXACT = {0.0: 0.4589, 0.21: 1.3792, 0.51: 2.4258}
@@ -262,19 +265,103 @@ class TestNewtonSolver:
             assert abs(r.lambda_ - oracle) < tuning.QUAD_TOLERANCE / slope, r.alpha
 
     def test_grid_evaluation_budget(self, model01, monkeypatch):
-        counter, calls = CountingNumpy(), []
+        self.check_evaluation_budget(model01, monkeypatch, QUAD, chunks=1)
+
+    def test_grid_evaluation_budget_monte_carlo(self, model01, monkeypatch):
+        qc = QuadratureConfig.monte_carlo(100_000, seed=0)
+        self.check_evaluation_budget(model01, monkeypatch, qc, chunks=7)
+
+    @staticmethod
+    def check_evaluation_budget(model01, monkeypatch, qc, chunks):
+        counter, sizes = CountingNumpy(), []
         solver = tuning.solve_mgf_root
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return solver(*args, **kwargs)
+        def counted(values, *args, **kwargs):
+            sizes.append(np.size(values))
+            return solver(values, *args, **kwargs)
 
         monkeypatch.setattr(tuning, "np", counter)
         monkeypatch.setattr(tuning, "solve_mgf_root", counted)
-        tuning_grid(0.1, model01, alpha_max=2.0, step=0.01, qc=QUAD)
-        assert len(calls) == 201
+        tuning_grid(0.1, model01, alpha_max=2.0, step=0.01, qc=qc)
+        assert len(sizes) == 201
+        # an MGF evaluation makes one exp call per chunk of the support
+        assert {math.ceil(size / CHUNK) for size in sizes} == {chunks}
+        passes, rest = divmod(counter.exp_calls, chunks)
+        assert rest == 0
         # each root starts from the line through the two before it
-        assert counter.exp_calls / len(calls) <= 2.5
+        assert passes / len(sizes) <= 2.5
+
+
+class TestChunkedSolver:
+    """solve_mgf_root sums phi and phi' chunk by chunk; the whole-array form
+    in _oracles differs from it only in summation order."""
+
+    @staticmethod
+    def assert_same_root(values, weights=None):
+        want = solve_mgf_root_whole(values, weights)
+        assert solve_mgf_root(values, weights) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.21, 0.51, 2.0])
+    def test_matches_whole_array_form_on_monte_carlo_sample(self, model01, alpha):
+        qc = QuadratureConfig.monte_carlo(1_000_000, seed=5)
+        y, _ = increment_values(model01, 0.0, alpha, qc)
+        self.assert_same_root(y)
+
+    @pytest.mark.parametrize("size", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_matches_whole_array_form_at_chunk_edges(self, model01, size):
+        qc = QuadratureConfig.monte_carlo(tuning.MC_MIN_SAMPLES, seed=9)
+        y, _ = increment_values(model01, 0.0, 0.21, qc)
+        self.assert_same_root(y[:size])
+        self.assert_same_root(y[:size], np.linspace(1.0, 2.0, size))
+
+    def test_single_value_fails_alike(self):
+        # one negative value: phi falls for every lambda and never returns to 1
+        with pytest.raises(NoPositiveRootError) as whole:
+            solve_mgf_root_whole(np.array([-0.5]))
+        with pytest.raises(NoPositiveRootError) as chunked:
+            solve_mgf_root(np.array([-0.5]))
+        assert str(chunked.value) == str(whole.value)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.21, 0.51, 2.0])
+    def test_matches_whole_array_form_on_quadrature_nodes(self, model01, alpha):
+        y, w = increment_values(model01, 0.0, alpha, QUAD)
+        assert y.size < CHUNK
+        # one chunk: the same operations in the same order
+        assert solve_mgf_root(y, w) == solve_mgf_root_whole(y, w)
+        # the nodes tiled past several chunks, the weights scaled unevenly
+        reps = 3 * CHUNK // y.size
+        tiled_w = np.concatenate([w * (1.0 + k % 3) for k in range(reps)])
+        self.assert_same_root(np.tile(y, reps), tiled_w)
+
+    def test_unweighted_solve_takes_one_chunk(self, model01):
+        qc = QuadratureConfig.monte_carlo(1_000_000, seed=5)
+        y, _ = increment_values(model01, 0.0, 0.21, qc)
+        tracemalloc.start()
+        try:
+            solve_mgf_root(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-array form took one sample-sized buffer, 8 MB here
+        assert peak < 512 * 1024
+
+
+class TestGridInfo:
+    """The grid's info column is the exact info number under either method."""
+
+    @pytest.mark.parametrize("model_kind", ["gaussian", "point_mass"])
+    def test_info_is_exact_and_method_free(self, fam, model01, model_kind):
+        from lacusum import GrossErrorModel, OutlierSpec
+        model = model01 if model_kind == "gaussian" else GrossErrorModel(
+            0.1, fam, OutlierSpec.point_mass_outlier(2.0))
+        columns = []
+        for qc in (QUAD, QuadratureConfig.monte_carlo(100_000, seed=4)):
+            rows = tuning_grid(0.1, model, alpha_max=2.0, step=0.05, qc=qc)
+            assert all(r.lambda_ is not None for r in rows)
+            for r in rows:
+                assert r.info == info_number(fam.theta1, 0.1, r.alpha, model), r.alpha
+            columns.append([r.info for r in rows])
+        assert columns[0] == columns[1]
 
 
 class TestEfficiency:
