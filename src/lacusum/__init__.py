@@ -56,7 +56,6 @@ from .models import (
     NominalFamily,
     OutlierSpec,
     mixture_pdf,
-    nominal_pdf,
     sample_matrix,
 )
 from .profiles import (

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .detectors import LocalParams, lalpha_increment
 from .errors import ConfigError
-from .models import NominalFamily, SQRT_2PI
-from .tuning import alpha_points
+from .models import NominalFamily
+from .tuning import _increment_mean, alpha_points
 
 
 @dataclass(frozen=True)
@@ -38,18 +38,11 @@ class SupResult:
 def density_power_divergence(fam: NominalFamily, alpha: float) -> float:
     """Divergence between f_theta0 and f_theta1; Kullback-Leibler at alpha = 0.
 
-    Gaussian closed form:
-        alpha > 0:  sqrt(1+a) / (a (sqrt(2 pi) sigma)^a) * (1 - exp(-a D^2 / (2(1+a) sigma^2)))
-        alpha = 0:  D^2 / (2 sigma^2)
-    with D = theta1 - theta0.
+    f_theta0 and f_theta1 have the same integral of f^(1 + alpha), so the
+    divergence is -(1 + alpha) times the increment's mean under f_theta0.
     """
-    if alpha < 0:
-        raise ConfigError("alpha must be >= 0")
-    delta = fam.theta1 - fam.theta0
-    if alpha == 0.0:
-        return delta**2 / (2.0 * fam.sigma**2)
-    decay = math.exp(-alpha * delta**2 / (2.0 * (1.0 + alpha) * fam.sigma**2))
-    return math.sqrt(1.0 + alpha) / (alpha * (SQRT_2PI * fam.sigma) ** alpha) * (1.0 - decay)
+    return -(1.0 + alpha) * _increment_mean([(1.0, fam.theta0, fam.sigma)],
+                                            LocalParams(alpha, fam))
 
 
 def increment_sup(fam: NominalFamily, alpha: float) -> SupResult:
@@ -62,10 +55,11 @@ def increment_sup(fam: NominalFamily, alpha: float) -> SupResult:
     bracketed by [theta1, theta1 + w], w doubling from one bump width
     sigma / sqrt(alpha) while the slope at the right end is still positive.
     """
-    if alpha <= 0:
+    p = LocalParams(alpha, fam)
+    if alpha == 0:
         raise ConfigError("increment_sup needs alpha > 0 (sup is infinite at 0)")
-    # imported here: scipy.optimize adds about 23 MB and 0.15 s to importing
-    # lacusum, which the detectors, calibration and tuning never need
+    # imported here: scipy.optimize adds about 0.2 s and 23 MB to importing
+    # lacusum, on top of scipy.special (2-core VM), and only this search needs it
     from scipy.optimize import brentq
 
     a = alpha / (2.0 * fam.sigma**2)
@@ -78,16 +72,12 @@ def increment_sup(fam: NominalFamily, alpha: float) -> SupResult:
     while slope(fam.theta1 + w) > 0.0:
         w *= 2.0
     x = brentq(slope, fam.theta1, fam.theta1 + w, xtol=1e-12)
-    return SupResult(x=x, value=float(lalpha_increment(x, LocalParams(alpha, fam))))
+    return SupResult(x=x, value=float(lalpha_increment(x, p)))
 
 
 def m_alpha(fam: NominalFamily, alpha: float) -> float:
     """Essential supremum of the increment; infinite at alpha = 0 (unbounded log-LR)."""
-    if alpha < 0:
-        raise ConfigError("alpha must be >= 0")
-    if alpha == 0.0:
-        return math.inf
-    return increment_sup(fam, alpha).value
+    return math.inf if alpha == 0.0 else increment_sup(fam, alpha).value
 
 
 def breakdown_report(fam: NominalFamily, alpha: float) -> BreakdownReport:

@@ -15,6 +15,7 @@ from functools import partial
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import breakdown as bkd
 from . import experiments, profiles, tuning
@@ -199,13 +200,12 @@ def _alpha_grid(grid: list) -> tuple[float, float]:
     The grid commands evaluate exactly that grid, so any other grid is a
     ConfigError rather than silently replaced.  A lone 0 is the grid {0}.
     """
-    grid = np.asarray(grid, dtype=float)
-    step = float(grid[1] - grid[0]) if grid.size > 1 else 0.01
-    if not (np.isfinite(grid).all() and step > 0
-            and np.rint(grid[-1] / step) + 1 == grid.size
-            and np.array_equal(grid, np.round(np.arange(grid.size) * step, 10))):
-        raise ConfigError(f"alpha grid must be 0, s, 2s, ... for a step s > 0, got {grid.tolist()}")
-    return float(grid[-1]), step
+    step = grid[1] - grid[0] if len(grid) > 1 else 0.01
+    # the point count first, so that alpha_points builds no more points than the grid has
+    if not (step > 0 and abs(grid[-1] / step + 1 - len(grid)) < 0.5
+            and grid == tuning.alpha_points(grid[-1], step)):
+        raise ConfigError(f"alpha grid must be 0, s, 2s, ... for a step s > 0, got {grid}")
+    return grid[-1], step
 
 
 @contextmanager
@@ -275,14 +275,20 @@ def _with_monte_carlo(section: str):
 def tune(config_path, seed, output, epsilon, alpha_grid, samples, method, gamma, k, m):
     """Tuning curve over the alpha grid plus a summary line.
 
-    CSV columns: alpha, lambda, info, lambda_info, efficiency.
+    CSV columns: alpha, lambda, info, lambda_info, efficiency.  --seed and
+    --samples are read by the monte_carlo method only.
     """
     cfg = _load_config(config_path)
     model = _build_model(cfg, epsilon=epsilon)
     get = partial(_setting, cfg, "tune")
     alpha_max, step = _alpha_grid(get("alpha_grid", alpha_grid))
-    qc = tuning.QuadratureConfig(method=get("method", method),
-                                 n_samples=get("samples", samples), seed=seed)
+    method = get("method", method)
+    if method == "gauss_hermite_mixture":
+        source = click.get_current_context().get_parameter_source
+        given = [f"--{n}" for n in ("seed", "samples") if source(n) is not ParameterSource.DEFAULT]
+        if given:
+            raise ConfigError(f"{' and '.join(given)} not read by method {method!r}")
+    qc = tuning.QuadratureConfig(method=method, n_samples=get("samples", samples), seed=seed)
     gamma, k, m = get("gamma", gamma), get("k", k), get("m", m)
     rows = tuning.tuning_grid(model.epsilon, model, alpha_max=alpha_max, step=step, qc=qc)
     best = tuning.alpha_oracle(rows)

@@ -55,8 +55,8 @@ class LocalParams:
     fam: NominalFamily
 
     def __post_init__(self):
-        if not self.alpha >= 0:  # NaN too
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:  # NaN too
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
 
 
 def lalpha_increment(x, p: LocalParams, out=None):
@@ -115,10 +115,10 @@ class FusionRule:
     def __post_init__(self):
         if self.kind not in ("soft_threshold", "max", "sum"):
             raise ConfigError(f"unknown fusion kind {self.kind!r}")
-        if not self.b >= 0:  # NaN too
-            raise ConfigError(f"threshold b must be >= 0, got {self.b}")
-        if not self.d >= 0:
-            raise ConfigError(f"soft threshold d must be >= 0, got {self.d}")
+        if not 0 <= self.b < math.inf:  # NaN too
+            raise ConfigError(f"threshold b must be finite and >= 0, got {self.b}")
+        if not 0 <= self.d < math.inf:
+            raise ConfigError(f"soft threshold d must be finite and >= 0, got {self.d}")
 
     @classmethod
     def soft(cls, b: float, d: float) -> "FusionRule":
@@ -250,6 +250,12 @@ class GlrScheme:
     b: float
     fam: NominalFamily | None = None  # chan1 needs the family for its bank
     name: str = ""
+
+    def __post_init__(self):
+        # chan1 and chan2 weigh each stream's term by coef < 1, so their
+        # statistics go below 0; xie_siegmund's never does
+        if not math.isfinite(self.b) or (self.params.variant == GLR_XS and self.b < 0):
+            raise ConfigError(f"threshold b must be finite, and >= 0 for {GLR_XS}, got {self.b}")
 
     @property
     def label(self) -> str:

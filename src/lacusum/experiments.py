@@ -70,7 +70,7 @@ def _delay_bound_ratio(scheme: Scheme, model: GrossErrorModel, scenario: ChangeS
     """Observed delay over the first-order bound (b/m + d) / I_theta; report only."""
     if not isinstance(scheme, LAlphaScheme) or scheme.rule.kind != "soft_threshold":
         return None
-    info = info_number(scenario.theta_post, model.epsilon, scheme.params.alpha, model)
+    info = info_number(scenario.theta_post, scheme.params.alpha, model)
     if info <= 0:
         return None
     bound = (scheme.rule.b / scenario.m + scheme.rule.d) / info
@@ -157,7 +157,7 @@ def tuning_curves(model: GrossErrorModel) -> dict[str, list[tuple]]:
     with warnings.catch_warnings():
         # the diagnostic scan deliberately covers shifts below theta1
         warnings.simplefilter("ignore", UserWarning)
-        info_series = [(a, th, info_number(float(th), 0.0, a, model))
+        info_series = [(a, th, info_number(float(th), a, model.with_epsilon(0.0)))
                        for a in INFO_ALPHAS for th in THETA_GRID]
 
     eff_alpha_series = []

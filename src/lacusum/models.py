@@ -39,13 +39,6 @@ class NominalFamily:
             raise ConfigError(f"theta1 ({self.theta1}) must exceed theta0 ({self.theta0})")
 
 
-def nominal_pdf(x, theta: float, fam: NominalFamily):
-    """Gaussian density with mean theta and scale fam.sigma; vectorized in x."""
-    x = np.asarray(x, dtype=float)
-    z = (x - theta) / fam.sigma
-    return np.exp(-0.5 * z * z) / (SQRT_2PI * fam.sigma)
-
-
 @dataclass(frozen=True)
 class OutlierSpec:
     """Outlier distribution: a gaussian, or a point mass (the breakdown worst case)."""
@@ -72,13 +65,6 @@ class OutlierSpec:
     def point_mass_outlier(cls, location: float) -> "OutlierSpec":
         return cls(kind="point_mass", location=location)
 
-    def pdf(self, x):
-        """Density g(x). Raises NoDensityError for a point mass."""
-        if self.kind == "point_mass":
-            raise NoDensityError("point-mass outliers have no density")
-        z = (np.asarray(x, dtype=float) - self.mean) / self.sd
-        return np.exp(-0.5 * z * z) / (SQRT_2PI * self.sd)
-
     def sample(self, rng: np.random.Generator, size):
         """Draw samples of the given shape."""
         if self.kind == "gaussian":
@@ -101,6 +87,19 @@ class GrossErrorModel:
     def with_epsilon(self, epsilon: float) -> "GrossErrorModel":
         return GrossErrorModel(epsilon, self.nominal, self.outlier)
 
+    def components(self, theta: float) -> list[tuple[float, float, float]]:
+        """(weight, mean, sd) of each Gaussian component of h_theta, nominal first.
+
+        A point-mass outlier is a component of sd 0; at epsilon = 0 there is
+        no outlier component.
+        """
+        parts = [(1.0 - self.epsilon, theta, self.nominal.sigma)]
+        if self.epsilon > 0.0:
+            out = self.outlier
+            parts.append((self.epsilon, out.mean, out.sd) if out.kind == "gaussian"
+                         else (self.epsilon, out.location, 0.0))
+        return parts
+
     def sample(self, rng: np.random.Generator, theta, size):
         """Draws from h_theta of the given shape; theta may be an array of that shape.
 
@@ -122,16 +121,15 @@ class GrossErrorModel:
 
 
 def mixture_pdf(x, theta: float, model: GrossErrorModel):
-    """Mixture density (1 - eps) * f_theta(x) + eps * g(x).
+    """Mixture density (1 - eps) * f_theta(x) + eps * g(x); vectorized in x.
 
     Point-mass outliers are rejected: the mixture has no density then.
     """
-    if model.epsilon > 0 and model.outlier.kind == "point_mass":
+    parts = model.components(theta)
+    if any(s == 0.0 for _, _, s in parts):
         raise NoDensityError("mixture with a point-mass outlier has no density")
-    base = (1.0 - model.epsilon) * nominal_pdf(x, theta, model.nominal)
-    if model.epsilon == 0.0:
-        return base
-    return base + model.epsilon * model.outlier.pdf(x)
+    x = np.asarray(x, dtype=float)
+    return sum(w * (np.exp(-0.5 * np.square((x - m) / s)) / (SQRT_2PI * s)) for w, m, s in parts)
 
 
 @dataclass(frozen=True)

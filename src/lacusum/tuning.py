@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .detectors import INCREMENT_CHUNK, LocalParams, lalpha_increment
 from .errors import ConfigError, MgfDivergenceError, NoPositiveRootError, NumericError
@@ -63,19 +62,16 @@ def mixture_nodes(model: GrossErrorModel, theta: float):
     Gaussian components use QUAD_NODES Gauss-Hermite nodes; a point mass is a
     single node.
     """
+    # imported here: scipy.special adds about 0.25 s and 17 MB to importing
+    # lacusum (2-core VM), and only the quadrature method needs it
+    from scipy.special import roots_hermite
+
     t, w = roots_hermite(QUAD_NODES)
     t, w = t * math.sqrt(2.0), w / math.sqrt(math.pi)
-    fam = model.nominal
-    xs = [theta + fam.sigma * t]
-    ws = [(1.0 - model.epsilon) * w]
-    if model.epsilon > 0.0:
-        out = model.outlier
-        if out.kind == "gaussian":
-            xs.append(out.mean + out.sd * t)
-            ws.append(model.epsilon * w)
-        else:
-            xs.append(np.array([out.location]))
-            ws.append(np.array([model.epsilon]))
+    xs, ws = [], []
+    for wt, m, s in model.components(theta):
+        xs.append(m + s * t if s > 0.0 else np.array([m]))
+        ws.append(wt * w if s > 0.0 else np.array([wt]))
     return np.concatenate(xs), np.concatenate(ws)
 
 
@@ -90,30 +86,18 @@ def _support(model: GrossErrorModel, theta: float, qc: QuadratureConfig) -> tupl
     return mixture_nodes(model, theta)
 
 
-def info_number(theta: float, epsilon: float, alpha: float, model: GrossErrorModel) -> float:
-    """Expected local increment under the contaminated post-change model, exactly.
+def _increment_mean(parts: list[tuple[float, float, float]], p: LocalParams) -> float:
+    """E[Y] for the increment Y of p when X is a mixture of (weight, mean, sd) parts.
 
     For X ~ N(m, s^2), E[exp(-a (X - t)^2)] = exp(-a (m - t)^2 / (1 + 2 a s^2))
     / sqrt(1 + 2 a s^2), a point mass being s = 0; with a = alpha / (2 sigma^2)
     the increment's mean is c / alpha times that at t = theta1 less that at
-    t = theta0, each weighted over the mixture's components.  At alpha = 0 the
-    increment is linear in x, so its mean is the increment at E[X].
+    t = theta0, each weighted over the parts.  At alpha = 0 the increment is
+    linear in x, so its mean is the increment at E[X].
     """
-    model = model.with_epsilon(epsilon)
-    fam = model.nominal
-    if theta < fam.theta1:
-        warnings.warn(f"info number evaluated below theta1 ({theta} < {fam.theta1}); "
-                      "detectors are designed for shifts of at least theta1",
-                      stacklevel=2)
-    # (weight, mean, sd) of each mixture component
-    parts = [(1.0 - epsilon, theta, fam.sigma)]
-    if epsilon > 0.0:
-        out = model.outlier
-        parts.append((epsilon, out.mean, out.sd) if out.kind == "gaussian"
-                     else (epsilon, out.location, 0.0))
+    fam, alpha = p.fam, p.alpha
     if alpha == 0.0:
-        mean = sum(w * m for w, m, _ in parts)
-        return (fam.theta1 - fam.theta0) * (mean - 0.5 * (fam.theta0 + fam.theta1)) / fam.sigma**2
+        return float(lalpha_increment(sum(w * m for w, m, _ in parts), p))
     a = alpha / (2.0 * fam.sigma**2)
 
     def bump_mean(t: float) -> float:
@@ -122,6 +106,16 @@ def info_number(theta: float, epsilon: float, alpha: float, model: GrossErrorMod
 
     c = (SQRT_2PI * fam.sigma) ** (-alpha)
     return c * (bump_mean(fam.theta1) - bump_mean(fam.theta0)) / alpha
+
+
+def info_number(theta: float, alpha: float, model: GrossErrorModel) -> float:
+    """Expected local increment under the model's mixture h_theta, exactly."""
+    fam = model.nominal
+    if theta < fam.theta1:
+        warnings.warn(f"info number evaluated below theta1 ({theta} < {fam.theta1}); "
+                      "detectors are designed for shifts of at least theta1",
+                      stacklevel=2)
+    return _increment_mean(model.components(theta), LocalParams(alpha, fam))
 
 
 def solve_mgf_root(values: np.ndarray, weights: np.ndarray | None = None,
@@ -248,7 +242,7 @@ def tuning_grid(epsilon: float, model: GrossErrorModel, alpha_max: float = 2.0,
                 rows.append(GridRow(a, None, None, None, None))
                 continue
         prev_lam = lam
-        info = info_number(fam.theta1, epsilon, a, model)
+        info = info_number(fam.theta1, a, model)
         rows.append(GridRow(a, lam, info, lam * info, None))
 
     base = next((r.objective for r in rows if r.alpha == 0.0 and r.objective is not None), None)

@@ -8,7 +8,11 @@ lalpha_increment_whole, glr_scan_stat_whole and glr_recursive_stat_whole are
 the whole-array forms of the detector kernels, which the chunked and
 buffered kernels must match bit for bit; info_number_closed_form and
 info_number_quadrature are the contamination-free closed form and the
-401-node Gauss-Hermite integral that the exact info number replaced.
+401-node Gauss-Hermite integral that the exact info number replaced;
+gaussian_pdf, mixture_pdf_two_term, mixture_nodes_two_term and
+divergence_closed_form are the Gaussian density and the forms of the
+mixture density, its quadrature nodes and d_alpha that each wrote the
+mixture out by hand before the model's component list replaced them.
 """
 
 import math
@@ -21,7 +25,7 @@ from lacusum import (LocalParams, MgfDivergenceError, NoPositiveRootError, Quadr
 from lacusum.detectors import CHAN1_COEF
 from lacusum.models import SQRT_2PI
 from lacusum.profiles import SQRT2, _check_dyadic
-from lacusum.tuning import QUAD_TOLERANCE, _support
+from lacusum.tuning import QUAD_NODES, QUAD_TOLERANCE, _support
 
 
 def increment_values(model, theta, alpha, qc):
@@ -176,3 +180,46 @@ def info_number_quadrature(theta, epsilon, alpha, model):
             ws.append(np.array([epsilon]))
     y = lalpha_increment(np.concatenate(xs), LocalParams(alpha, fam))
     return float(np.dot(np.concatenate(ws), y))
+
+
+def gaussian_pdf(x, mean, sd):
+    """Gaussian density with the given mean and sd; vectorized in x."""
+    z = (np.asarray(x, dtype=float) - mean) / sd
+    return np.exp(-0.5 * z * z) / (SQRT_2PI * sd)
+
+
+def mixture_pdf_two_term(x, theta, model):
+    """(1 - eps) f_theta(x), plus eps g(x) for eps > 0, for a gaussian outlier."""
+    base = (1.0 - model.epsilon) * gaussian_pdf(x, theta, model.nominal.sigma)
+    if model.epsilon == 0.0:
+        return base
+    return base + model.epsilon * gaussian_pdf(x, model.outlier.mean, model.outlier.sd)
+
+
+def mixture_nodes_two_term(model, theta):
+    """Gauss-Hermite nodes and weights for h_theta, its two components written out."""
+    t, w = roots_hermite(QUAD_NODES)
+    t, w = t * math.sqrt(2.0), w / math.sqrt(math.pi)
+    fam = model.nominal
+    xs = [theta + fam.sigma * t]
+    ws = [(1.0 - model.epsilon) * w]
+    if model.epsilon > 0.0:
+        out = model.outlier
+        if out.kind == "gaussian":
+            xs.append(out.mean + out.sd * t)
+            ws.append(model.epsilon * w)
+        else:
+            xs.append(np.array([out.location]))
+            ws.append(np.array([model.epsilon]))
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def divergence_closed_form(fam, alpha):
+    """Density power divergence between f_theta0 and f_theta1, Gaussian closed form:
+    sqrt(1+a) / (a (sqrt(2 pi) sigma)^a) * (1 - exp(-a D^2 / (2(1+a) sigma^2))) for
+    alpha > 0 and D^2 / (2 sigma^2) at alpha = 0, with D = theta1 - theta0."""
+    delta = fam.theta1 - fam.theta0
+    if alpha == 0.0:
+        return delta**2 / (2.0 * fam.sigma**2)
+    decay = math.exp(-alpha * delta**2 / (2.0 * (1.0 + alpha) * fam.sigma**2))
+    return math.sqrt(1.0 + alpha) / (alpha * (SQRT_2PI * fam.sigma) ** alpha) * (1.0 - decay)

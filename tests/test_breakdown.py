@@ -24,17 +24,18 @@ from lacusum import (
     increment_sup,
     lalpha_increment,
     m_alpha,
-    nominal_pdf,
     simulate_run_lengths,
 )
 from lacusum.calibration import calibrate_threshold
 from lacusum.models import SQRT_2PI
 
+from _oracles import divergence_closed_form, gaussian_pdf
+
 
 def dpd_integrand(x, fam, alpha):
     """Integrand of the density power divergence's definition."""
-    f1 = nominal_pdf(x, fam.theta1, fam)
-    f0 = nominal_pdf(x, fam.theta0, fam)
+    f1 = gaussian_pdf(x, fam.theta1, fam.sigma)
+    f0 = gaussian_pdf(x, fam.theta0, fam.sigma)
     return f1 ** (1 + alpha) - (1 + 1 / alpha) * f0 * f1**alpha + (1 / alpha) * f0 ** (1 + alpha)
 
 
@@ -76,6 +77,14 @@ class TestDivergence:
         oracle, err = integrate.quad(dpd_integrand, -15, 15, args=(fam, alpha), limit=200)
         assert err < 1e-8
         assert density_power_divergence(fam, alpha) == pytest.approx(oracle, abs=1e-6)
+
+    @pytest.mark.parametrize("fam_args", SUP_FAMILIES)
+    def test_matches_gaussian_closed_form(self, fam_args):
+        # -(1 + alpha) times the increment's mean under f_theta0
+        fam = NominalFamily(*fam_args)
+        for alpha in (0.0, 0.001, 0.01, 0.21, 0.51, 1.0, 2.0):
+            assert density_power_divergence(fam, alpha) == pytest.approx(
+                divergence_closed_form(fam, alpha), rel=1e-12, abs=0.0), alpha
 
     def test_scale_family(self):
         fam = NominalFamily(1.0, 2.5, sigma=0.7)
@@ -153,6 +162,12 @@ class TestBreakdownPoint:
         rep = breakdown_report(fam, 0.51)
         assert rep.eps_star == pytest.approx(
             rep.d_alpha / (rep.d_alpha + 1.51 * rep.m_alpha), abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, -0.1])
+    def test_bad_alpha_raises(self, fam, alpha):
+        # an infinite alpha once ended in scipy's bare ValueError
+        with pytest.raises(ConfigError, match=f"alpha must be finite and >= 0, got {alpha}"):
+            breakdown_report(fam, alpha)
 
     def test_drift_sign_flips_at_breakdown(self, fam):
         for alpha in (0.21, 0.51):

@@ -63,6 +63,29 @@ class TestTuneCommand:
         assert len(lines) == 6
         assert "alpha_oracle" in err and "d_opt" in err
 
+    @pytest.mark.parametrize("flags", [["--seed", "1"], ["--samples", "100000"],
+                                       ["--seed", "0", "--samples", "1000000"]],
+                             ids=["seed", "samples", "both-at-default-values"])
+    @pytest.mark.parametrize("method_from", ["flag", "config"])
+    def test_quadrature_rejects_monte_carlo_flags(self, capsys, tmp_path, flags, method_from):
+        # the quadrature method reads neither, so an explicit one is an error
+        # even at its default value; [tune] keys stay allowed
+        cfg = write_ini(tmp_path / "q.ini", {"tune": {"samples": "200000"}} if
+                        method_from == "flag" else {"tune": {"method": "gauss_hermite_mixture"}})
+        method = ["--method", "gauss_hermite_mixture"] if method_from == "flag" else []
+        argv = ["tune", "--config", cfg, *method, "--alpha-grid", "0:0.5:1"]
+        code, out, err = run_cli([*argv, *flags], capsys=capsys)
+        assert code == 1 and out == "" and "config error" in err, err
+        assert all(f in err for f in flags if f.startswith("--")), err
+        code, out, err = run_cli(argv, capsys=capsys)
+        assert code == 0 and len(out.strip().splitlines()) == 4, err
+
+    def test_monte_carlo_reads_seed_and_samples(self, capsys):
+        argv = ["tune", "--alpha-grid", "0:0.5:1", "--samples", "100000"]
+        runs = [run_cli([*argv, "--seed", seed], capsys=capsys) for seed in ("1", "2")]
+        assert runs[0][0] == runs[1][0] == 0
+        assert runs[0][1] != runs[1][1]
+
     def test_numeric_failure_exit_code(self, capsys, tmp_path):
         # point-mass contamination far above every breakdown point: no grid
         # point admits a positive MGF root

@@ -139,6 +139,11 @@ class TestIncrement:
             StreamMonitor(LAlphaScheme(LocalParams(math.nan, fam), FusionRule.soft(1.0, 0.5)),
                           K=2)
 
+    def test_infinite_alpha_rejected(self, fam):
+        # a soft monitor on alpha = inf once reported nan at every step
+        with pytest.raises(ConfigError, match="alpha must be finite and >= 0, got inf"):
+            LocalParams(math.inf, fam)
+
 
 class TestBank:
     """The CUSUM bank, read through a one-stream sum-fused monitor (stat = W)."""
@@ -219,6 +224,12 @@ class TestFusion:
             FusionRule.soft(b=1.0, d=math.nan)
         with pytest.raises(ConfigError):
             FusionRule(kind="median", b=1.0)
+
+    @pytest.mark.parametrize("b,d,name", [(1.0, math.inf, "d"), (math.inf, 0.5, "b")])
+    def test_infinite_setting_rejected(self, b, d, name):
+        # soft(1.0, inf) once gave a global statistic of 0.0 forever
+        with pytest.raises(ConfigError, match=f"{name} must be finite and >= 0, got inf"):
+            FusionRule.soft(b, d)
 
 
 class TestScaling:
@@ -319,6 +330,14 @@ class TestGlr:
         decision = feed(xie_siegmund(p0, b=10.0), [[x]])[0]
         assert decision.global_stat == pytest.approx(mix_term(max(0.0, x), p0), abs=1e-12)
         assert not decision.alarmed
+
+    @pytest.mark.parametrize("b", [math.nan, -5.0, math.inf])
+    def test_bad_threshold_rejected(self, b):
+        # b = nan once built a scheme that never alarmed, even at 9 sigma
+        with pytest.raises(ConfigError, match=f"threshold b must be finite.*got {b}"):
+            GlrScheme(GlrParams(0.1), b=b)
+        if b < 0:  # chan1's statistic starts below 0, so a negative bar is in its range
+            GlrScheme(GlrParams(0.1, variant="chan1"), b=b)
 
     def test_chan1_needs_bank(self, fam):
         gp = GlrParams(p0=0.1, variant="chan1")

@@ -15,9 +15,10 @@ from lacusum import (
     NominalFamily,
     OutlierSpec,
     mixture_pdf,
-    nominal_pdf,
     sample_matrix,
 )
+
+from _oracles import gaussian_pdf, mixture_pdf_two_term
 
 
 class TestNominalFamily:
@@ -40,19 +41,22 @@ class TestNominalFamily:
         with pytest.raises(ConfigError, match="must be finite"):
             NominalFamily(theta0, theta1)
 
-    def test_pdf_standard_normal_peak(self, fam):
-        assert nominal_pdf(0.0, 0.0, fam) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-12)
-        assert nominal_pdf(0.0, 0.0, fam) == pytest.approx(0.3989422804, abs=1e-9)
+    # the nominal density is the mixture density at epsilon = 0
+    def test_pdf_standard_normal_peak(self, model0):
+        assert mixture_pdf(0.0, 0.0, model0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-12)
+        assert mixture_pdf(0.0, 0.0, model0) == pytest.approx(0.3989422804, abs=1e-9)
 
-    def test_pdf_location_shift(self, fam):
-        assert nominal_pdf(1.0, 1.0, fam) == pytest.approx(nominal_pdf(0.0, 0.0, fam), abs=1e-15)
+    def test_pdf_location_shift(self, model0):
+        assert mixture_pdf(1.0, 1.0, model0) == pytest.approx(mixture_pdf(0.0, 0.0, model0),
+                                                              abs=1e-15)
 
-    def test_pdf_symmetry_about_midpoint(self, fam):
-        assert nominal_pdf(0.5, 0.0, fam) == pytest.approx(nominal_pdf(0.5, 1.0, fam), abs=1e-15)
+    def test_pdf_symmetry_about_midpoint(self, model0):
+        assert mixture_pdf(0.5, 0.0, model0) == pytest.approx(mixture_pdf(0.5, 1.0, model0),
+                                                              abs=1e-15)
 
-    def test_pdf_vectorized(self, fam):
+    def test_pdf_vectorized(self, model0):
         x = np.linspace(-3, 3, 7)
-        vals = nominal_pdf(x, 0.0, fam)
+        vals = mixture_pdf(x, 0.0, model0)
         assert vals.shape == (7,)
         assert np.all(vals > 0)
 
@@ -77,10 +81,10 @@ class TestOutlierSpec:
             with pytest.raises(ConfigError, match="is not finite"):
                 make()
 
-    def test_point_mass_has_no_density(self):
+    def test_point_mass_has_no_density(self, fam):
         pm = OutlierSpec.point_mass_outlier(2.0)
         with pytest.raises(NoDensityError):
-            pm.pdf(0.0)
+            mixture_pdf(0.0, 0.0, GrossErrorModel(0.1, fam, pm))
         rng = np.random.default_rng(0)
         assert np.all(pm.sample(rng, (3, 4)) == 2.0)
 
@@ -89,11 +93,32 @@ class TestOutlierSpec:
             OutlierSpec(kind="custom_table")
 
 
+class TestComponents:
+    def test_no_outlier_component_at_zero_epsilon(self, fam, model0):
+        assert model0.components(0.3) == [(1.0, 0.3, fam.sigma)]
+
+    @pytest.mark.parametrize("outlier", [OutlierSpec.gaussian_outlier(0.5, 3.0),
+                                         OutlierSpec.point_mass_outlier(2.0)])
+    def test_weights_sum_to_one_nominal_first(self, fam, outlier):
+        parts = GrossErrorModel(0.1, fam, outlier).components(0.3)
+        assert [w for w, _, _ in parts] == [0.9, 0.1] and sum(w for w, _, _ in parts) == 1.0
+        assert parts[0] == (0.9, 0.3, fam.sigma)
+        assert parts[1] == ((0.1, 0.5, 3.0) if outlier.kind == "gaussian" else (0.1, 2.0, 0.0))
+
+
 class TestMixturePdf:
     def test_no_contamination_equals_nominal(self, fam, model0):
         x = np.linspace(-4, 4, 17)
         np.testing.assert_array_equal(mixture_pdf(x, 0.3, model0),
-                                      nominal_pdf(x, 0.3, fam))
+                                      gaussian_pdf(x, 0.3, fam.sigma))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_matches_two_term_form(self, model01, eps):
+        model = model01.with_epsilon(eps)
+        x = np.linspace(-6, 6, 101)
+        for theta in (0.0, 1.0):
+            np.testing.assert_array_equal(mixture_pdf(x, theta, model),
+                                          mixture_pdf_two_term(x, theta, model))
 
     def test_known_value(self, model01):
         # 0.9 * phi(0) + 0.1 * phi(0; sd 3): 0.9/sqrt(2pi) + 0.1/(3 sqrt(2pi))
@@ -104,7 +129,7 @@ class TestMixturePdf:
     def test_heavy_contamination_approaches_outlier(self, fam):
         outlier = OutlierSpec.gaussian_outlier(0.0, 3.0)
         model = GrossErrorModel(1.0 - 1e-9, fam, outlier)
-        assert mixture_pdf(0.0, 0.0, model) == pytest.approx(outlier.pdf(0.0), rel=1e-6)
+        assert mixture_pdf(0.0, 0.0, model) == pytest.approx(gaussian_pdf(0.0, 0.0, 3.0), rel=1e-6)
 
     def test_point_mass_mixture_rejected(self, fam):
         model = GrossErrorModel(0.1, fam, OutlierSpec.point_mass_outlier(1.0))

@@ -7,7 +7,10 @@ digits asserted.
 """
 
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from _oracles import (
     increment_values,
     info_number_closed_form,
     info_number_quadrature,
+    mixture_nodes_two_term,
     solve_lambda,
     solve_mgf_root_whole,
 )
@@ -51,8 +55,8 @@ def delay_budget(lambda_, K, m, gamma, d):
 
 class TestInfoNumber:
     def test_llr_closed_form(self, model0):
-        assert info_number(1.0, 0.0, 0.0, model0) == pytest.approx(0.5, abs=1e-12)
-        assert info_number(2.0, 0.0, 0.0, model0) == pytest.approx(1.5, abs=1e-12)
+        assert info_number(1.0, 0.0, model0) == pytest.approx(0.5, abs=1e-12)
+        assert info_number(2.0, 0.0, model0) == pytest.approx(1.5, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.21, 0.51, 1.0])
     @pytest.mark.parametrize("theta", [1.0, 1.5, 2.0])
@@ -65,12 +69,12 @@ class TestInfoNumber:
             y = lalpha_increment(model.sample(rng, theta, 1_000_000),
                                  LocalParams(alpha, model.nominal))
             se = y.std(ddof=1) / math.sqrt(y.size)
-            assert abs(y.mean() - info_number(theta, eps, alpha, model)) < 3 * se, eps
+            assert abs(y.mean() - info_number(theta, alpha, model)) < 3 * se, eps
 
     def test_quadrature_matches_closed_form_when_contaminated_family_standard(self, model01):
         # at eps = 0 the mixture's info number is the contamination-free closed form
         for alpha in (0.21, 0.51):
-            exact = info_number(1.5, 0.0, alpha, model01.with_epsilon(0.0))
+            exact = info_number(1.5, alpha, model01.with_epsilon(0.0))
             assert exact == pytest.approx(info_number_closed_form(1.5, alpha), abs=1e-10)
 
     @pytest.mark.parametrize("fam_args", [(0.0, 1.0, 1.0), (0.0, 0.2, 1.0), (1.0, 2.5, 0.7)])
@@ -87,7 +91,7 @@ class TestInfoNumber:
                     for shift in (0.0, 0.5, 2.0):
                         theta = fam.theta1 + shift * fam.sigma
                         quad = info_number_quadrature(theta, eps, alpha, model)
-                        assert info_number(theta, eps, alpha, model) == pytest.approx(
+                        assert info_number(theta, alpha, model) == pytest.approx(
                             quad, rel=1e-10, abs=1e-10), (outlier, eps, alpha, theta)
 
     def test_large_shift_hurts_robust_statistic(self, model0):
@@ -106,12 +110,12 @@ class TestInfoNumber:
         from lacusum import GrossErrorModel, OutlierSpec
         model = GrossErrorModel(0.2, fam, OutlierSpec.point_mass_outlier(0.5))
         # increment at the symmetric point is zero, so only the nominal term remains
-        val = info_number(1.0, 0.2, 0.0, model)
+        val = info_number(1.0, 0.0, model)
         assert val == pytest.approx(0.8 * 0.5, abs=1e-9)
 
     def test_warns_below_design_shift(self, model0):
         with pytest.warns(UserWarning, match="theta1"):
-            info_number(0.5, 0.0, 0.21, model0)
+            info_number(0.5, 0.21, model0)
 
 
 class TestSolveLambda:
@@ -359,7 +363,7 @@ class TestGridInfo:
             rows = tuning_grid(0.1, model, alpha_max=2.0, step=0.05, qc=qc)
             assert all(r.lambda_ is not None for r in rows)
             for r in rows:
-                assert r.info == info_number(fam.theta1, 0.1, r.alpha, model), r.alpha
+                assert r.info == info_number(fam.theta1, r.alpha, model), r.alpha
             columns.append([r.info for r in rows])
         assert columns[0] == columns[1]
 
@@ -503,3 +507,37 @@ class TestQuadratureConfig:
         with pytest.raises(ConfigError):
             QuadratureConfig(method="simpson")
 
+
+
+class TestMixtureNodes:
+    @pytest.mark.parametrize("eps,outlier", [
+        (0.1, ("gaussian", 0.5, 3.0)), (0.1, ("point_mass", 2.0)), (0.0, ("gaussian", 0.0, 3.0))],
+        ids=["gaussian", "point_mass", "eps0"])
+    def test_match_two_term_form(self, fam, eps, outlier):
+        from lacusum import GrossErrorModel, OutlierSpec
+        spec = (OutlierSpec.gaussian_outlier(*outlier[1:]) if outlier[0] == "gaussian"
+                else OutlierSpec.point_mass_outlier(outlier[1]))
+        model = GrossErrorModel(eps, fam, spec)
+        for theta in (fam.theta0, fam.theta1):
+            got, want = tuning.mixture_nodes(model, theta), mixture_nodes_two_term(model, theta)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_import_and_monte_carlo_grid_leave_scipy_unloaded():
+    # scipy.special and scipy.optimize each add a large share of the import time
+    # and memory; only the quadrature nodes and the breakdown root need them
+    src = str(Path(tuning.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import lacusum, lacusum.cli\n"
+        "heavy = ('scipy.special', 'scipy.optimize')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "from lacusum import GrossErrorModel, NominalFamily, OutlierSpec, QuadratureConfig\n"
+        "model = GrossErrorModel(0.1, NominalFamily(0.0, 1.0), OutlierSpec.gaussian_outlier())\n"
+        "lacusum.tuning_grid(0.1, model, 0.2, 0.1, QuadratureConfig.monte_carlo(100_000))\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"], proc.stdout
