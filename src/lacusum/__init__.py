@@ -60,7 +60,6 @@ from .models import (
 )
 from .profiles import (
     CaseStudyRow,
-    PoolStreamSampler,
     ProfileGeneratorConfig,
     ProfilePool,
     case_study_run,

@@ -59,8 +59,9 @@ class _Grid(click.ParamType):
             if not finite:
                 self.fail(f"{value!r} holds a value that is not finite", param, ctx)
             return parts
-        if len(parts) != 3 or not finite or parts[1] <= 0:
-            self.fail(f"grid must be start:step:stop with step > 0, got {value!r}", param, ctx)
+        if len(parts) != 3 or not finite or parts[1] <= 0 or parts[2] < parts[0]:
+            self.fail("grid must be start:step:stop with step > 0 and stop >= start, "
+                      f"got {value!r}", param, ctx)
         start, step, stop = parts
         n = int(round((stop - start) / step)) + 1
         return np.round(start + step * np.arange(n), 10).tolist()
@@ -384,6 +385,8 @@ def simulate(config_path, seed, output, threads, reps, mode):
         m_grid, theta_grid = get("m_grid"), get("theta_grid") or [theta_post]
         scenarios = tuple(ChangeScenario.immediate(K, m, th)
                           for th in theta_grid for m in m_grid if m <= K)
+        if not scenarios:
+            raise ConfigError(f"[simulate] m_grid: no m is at most [scenario] k = {K}")
         spec = experiments.ExperimentSpec(
             schemes=tuple(schemes), model_post=model, scenarios=scenarios,
             reps=reps, seed=seed, cap=cap, threads=threads)

@@ -85,6 +85,9 @@ class ProfileGeneratorConfig:
 
     def __post_init__(self):
         _check_dyadic(self.length)
+        for name in ("noise_sd", "fault1_magnitude", "fault2_magnitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sd <= 0:
             raise ConfigError("noise_sd must be positive")
 
@@ -199,57 +202,33 @@ def load_pool(directory) -> ProfilePool:
 # Case study
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PoolStreamSampler:
-    """Streams standardized coefficient rows drawn from a mixture of pools.
+# share of outlier rows in both case-study streams
+OUTLIER_SHARE = 0.1
+# the calibration check's relative tolerance on the short case-study runs
+CASE_STUDY_REL_TOL = 0.1
 
-    Each step's row comes from pools[i] with probability probs[i].  Row
-    indices for every pool are drawn each block regardless of the mixture
-    outcome, so paths are reproducible and threshold-independent.
+
+@dataclass(frozen=True)
+class _PoolMixtureSampler:
+    """Standardized coefficient rows from a gross-error mixture of two pools,
+    drawn by GrossErrorModel.sample's composition method: a regular row index
+    and a uniform per step, then one draw of just as many outlier row indices
+    as uniforms fell below OUTLIER_SHARE, written into those steps in order.
     """
 
-    pools: tuple
-    probs: tuple
-
-    def __post_init__(self):
-        if len(self.probs) != len(self.pools):
-            raise ConfigError("one probability per pool required")
-        for i, pool in enumerate(self.pools):
-            if np.ndim(pool) != 2 or len(pool) == 0:
-                raise ConfigError(f"pool {i} must hold at least one row of K values, "
-                                  f"got shape {np.shape(pool)}")
-        if len({pool.shape[1] for pool in self.pools}) > 1:
-            raise ConfigError("pools must share one column count, got " + ", ".join(
-                f"pool {i} {pool.shape[1]}" for i, pool in enumerate(self.pools)))
-        if not all(q >= 0 for q in self.probs):  # NaN too
-            raise ConfigError("mixture probabilities must be >= 0, got " + ", ".join(
-                f"pool {i} {q}" for i, q in enumerate(self.probs)))
-        if abs(sum(self.probs) - 1.0) > 1e-9:
-            raise ConfigError("mixture probabilities must sum to 1")
+    regular: np.ndarray
+    outlier: np.ndarray
 
     @property
     def K(self) -> int:
-        return self.pools[0].shape[1]
+        return self.regular.shape[1]
 
     def draw(self, rng: np.random.Generator, t0: int, n: int) -> np.ndarray:
         """Rows for time steps t0+1 .. t0+n, shape (K, n)."""
-        u = rng.random(n)
-        idx = [rng.integers(0, pool.shape[0], n) for pool in self.pools]
-        which = np.searchsorted(np.cumsum(self.probs), u, side="right")
-        which = np.minimum(which, len(self.pools) - 1)
-        rows = np.empty((n, self.K))
-        for pi, pool in enumerate(self.pools):
-            sel = which == pi
-            if sel.any():
-                rows[sel] = pool[idx[pi][sel]]
+        rows = self.regular[rng.integers(0, len(self.regular), n)]
+        mask = rng.random(n) < OUTLIER_SHARE
+        rows[mask] = self.outlier[rng.integers(0, len(self.outlier), np.count_nonzero(mask))]
         return rows.T
-
-
-# probabilities of (regular row, outlier row) in both case-study streams
-OUTLIER_MIX = (0.9, 0.1)
-
-# the calibration check's relative tolerance on the short case-study runs
-CASE_STUDY_REL_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -288,19 +267,18 @@ def case_study_run(pool: ProfilePool, schemes, target_arl: float = 300.0, *,
     """Calibrate each scheme on the contaminated in-control stream, then time
     its detection of the persistent fault.
 
-    The in-control stream mixes normal rows with pre_outlier rows at
-    OUTLIER_MIX; the faulty stream, changed from its first step on, mixes
-    fault1 rows (the persistent change) with fault2 rows (transient
-    outliers) at OUTLIER_MIX.
+    The in-control stream mixes normal rows with a share OUTLIER_SHARE of
+    pre_outlier rows; the faulty stream, changed from its first step on,
+    mixes fault1 rows (the persistent change) with the same share of fault2
+    rows (transient outliers).
     """
     if pre_outlier not in ("fault1", "fault2"):
         raise ConfigError("pre_outlier must be 'fault1' or 'fault2'")
     if not 1 < target_arl < math.inf:
         raise ConfigError(f"target_arl must be a finite number above 1, got {target_arl}")
     zn, z1, z2 = standardized_pools(pool, p if p is not None else pool.normal.shape[1] // 4)
-    pre_out = z1 if pre_outlier == "fault1" else z2
-    pre_sampler = PoolStreamSampler((zn, pre_out), OUTLIER_MIX)
-    post_sampler = PoolStreamSampler((z1, z2), OUTLIER_MIX)
+    pre_sampler = _PoolMixtureSampler(zn, z1 if pre_outlier == "fault1" else z2)
+    post_sampler = _PoolMixtureSampler(z1, z2)
     run_cap = cap if cap is not None else int(20 * target_arl)
     rows = []
     for i, scheme in enumerate(schemes):

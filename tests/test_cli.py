@@ -270,6 +270,13 @@ class TestMalformedInput:
         ("breakdown", "alpha_grid", "0:x:1", "'0:x:1' is not a grid of float values"),
         ("simulate", "theta_grid", "0:nan:1", "grid must be start:step:stop"),
         ("simulate", "theta_grid", "1,nan", "'1,nan' holds a value that is not finite"),
+        # a range with no points once wrote a header-only CSV and exited 0
+        ("simulate", "m_grid", "5:1:1", "grid must be start:step:stop with step > 0 and "
+         "stop >= start, got '5:1:1'"),
+        ("simulate", "eps_grid", "0.2:0.1:0.1", "grid must be start:step:stop with step > 0 "
+         "and stop >= start, got '0.2:0.1:0.1'"),
+        ("breakdown", "alpha_grid", "1:0.5:0", "grid must be start:step:stop with step > 0 "
+         "and stop >= start, got '1:0.5:0'"),
         ("scheme", "b", "nan", "'nan' is not a finite number"),
         ("calibrate", "gamma", "inf", "'inf' is not a finite number"),
         ("calibrate", "reps", "abc", "'abc' is not a valid integer"),
@@ -303,7 +310,10 @@ class TestMalformedInput:
         (["tune", "--alpha-grid", "0:x:1"], "--alpha-grid"),
         # a NaN threshold would let the monitor run and never alarm
         (["monitor", "--alpha", "0.21", "--b", "nan", "--d", "0.5"], "--b"),
-    ], ids=["alpha-grid", "b-nan"])
+        # an empty range once raised IndexError out of main() with a traceback
+        (["breakdown", "--alpha-grid", "1:0.5:0"], "--alpha-grid"),
+        (["tune", "--alpha-grid", "1:0.5:0"], "--alpha-grid"),
+    ], ids=["alpha-grid", "b-nan", "breakdown-empty-grid", "tune-empty-grid"])
     def test_malformed_flag(self, capsys, argv, flag):
         code, out, err = run_cli(argv, stdin_text="x1,x2\n0.4,0.2\n2.0,1.8\n", capsys=capsys)
         assert code == 1 and out == "" and "usage error" in err and flag in err, err
@@ -539,6 +549,23 @@ class TestSimulateCommand:
         assert lines[0].split(",")[:4] == ["scheme", "parameter", "mean", "se"]
         assert len(lines) == 5  # 2 schemes x 2 scenarios
         assert {line.split(",")[0] for line in lines[1:]} == {"robust", "cusum"}
+
+    def test_no_m_at_most_k(self, capsys, tmp_path):
+        # every cell was dropped by the m <= k filter: a header-only CSV, exit 0
+        cfg = write_ini(tmp_path / "sim.ini", {
+            "scenario": {"k": "5"}, "simulate": {"m_grid": "10,20", "reps": "20"},
+            "scheme": {"alpha": "0.21", "b": "3.0", "d": "0.5"}})
+        code, out, err = run_cli(["simulate", "--config", cfg], capsys=capsys)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert "config error: [simulate] m_grid: no m is at most [scenario] k = 5" in err, err
+
+    def test_default_m_grid_clipped_to_k(self, capsys, tmp_path):
+        cfg = write_ini(tmp_path / "sim.ini", {
+            "scenario": {"k": "3"}, "simulate": {"reps": "20"},
+            "scheme": {"alpha": "0.21", "b": "3.0", "d": "0.5", "name": "r"}})
+        code, out, err = run_cli(["simulate", "--config", cfg], capsys=capsys)
+        assert code == 0, err
+        assert [line.split(",")[1] for line in out.strip().splitlines()[1:]] == ["1.0", "3.0"]
 
     def test_arl_curve_mode(self, capsys, tmp_path):
         cfg = tmp_path / "sim.ini"

@@ -1,5 +1,6 @@
 """Haar features, standardization, synthetic pools, case-study pipeline."""
 
+import copy
 import math
 import re
 
@@ -12,14 +13,19 @@ from lacusum import (
     FusionRule,
     LAlphaScheme,
     LocalParams,
-    PoolStreamSampler,
     ProfileGeneratorConfig,
     ProfilePool,
     case_study_run,
     haar_transform,
     synth_pool,
 )
-from lacusum.profiles import baseline_curve, fault_deviations, standardized_pools
+from lacusum.profiles import (
+    OUTLIER_SHARE,
+    _PoolMixtureSampler,
+    baseline_curve,
+    fault_deviations,
+    standardized_pools,
+)
 
 from _oracles import inverse_haar_transform
 
@@ -128,6 +134,13 @@ class TestSynthPool:
         assert np.max(np.abs(shift[~support])) < 0.5   # noise only
         assert np.max(np.abs(shift[support])) > 2.0    # the deviation
 
+    @pytest.mark.parametrize("field", ["noise_sd", "fault1_magnitude", "fault2_magnitude"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_setting_named(self, field, value):
+        # these once built, and failed later in synth_pool naming a pool cell
+        with pytest.raises(ConfigError, match=f"{field} must be finite, got {value}"):
+            ProfileGeneratorConfig(length=64, **{field: value})
+
     def test_magnitude_ratio_default(self):
         cfg = ProfileGeneratorConfig()
         assert cfg.fault2_magnitude / cfg.fault1_magnitude == 5.0
@@ -181,38 +194,40 @@ class TestPoolChecks:
 
 
 class TestPoolSampler:
-    def _pools(self):
-        zn = np.zeros((5, 3))
-        z1 = np.ones((4, 3))
-        z2 = np.full((3, 3), 2.0)
-        return zn, z1, z2
-
     def test_deterministic(self):
-        zn, z1, z2 = self._pools()
-        s = PoolStreamSampler((zn, z1), (0.7, 0.3))
+        s = _PoolMixtureSampler(np.zeros((5, 3)), np.ones((4, 3)))
         a = s.draw(np.random.default_rng(1), 0, 50)
         b = s.draw(np.random.default_rng(1), 0, 50)
         np.testing.assert_array_equal(a, b)
-        assert set(np.unique(a)) <= {0.0, 1.0}
+        assert a.shape == (3, 50) and set(np.unique(a)) == {0.0, 1.0}
 
-    def test_probability_validation(self):
-        zn, z1, _ = self._pools()
-        with pytest.raises(ConfigError):
-            PoolStreamSampler((zn, z1), (0.7, 0.2))
-        with pytest.raises(ConfigError):
-            PoolStreamSampler((zn, z1), (1.0,))
+    def test_composition_order(self):
+        # the draw is a regular row index and a uniform per step, then one
+        # outlier row index per step whose uniform fell below OUTLIER_SHARE
+        regular = np.arange(15.0).reshape(5, 3)
+        outlier = -np.arange(1.0, 13.0).reshape(4, 3)
+        rng = np.random.default_rng(1)
+        hand = copy.deepcopy(rng)
+        got = _PoolMixtureSampler(regular, outlier).draw(rng, 0, 200)
 
-    @pytest.mark.parametrize("pools,probs,message", [
-        ((np.zeros((5, 3)), np.ones((4, 2))), (0.5, 0.5),
-         "one column count, got pool 0 3, pool 1 2"),
-        ((np.zeros((5, 3)), np.ones((0, 3))), (0.5, 0.5), r"pool 1 must hold .* \(0, 3\)"),
-        ((np.zeros((5, 3)), np.ones((4, 3))), (1.5, -0.5), "got pool 0 1.5, pool 1 -0.5"),
-        ((np.zeros((5, 3)), np.ones((4, 3))), (np.nan, 1.0), "got pool 0 nan"),
-    ])
-    def test_pools_validated_at_construction(self, pools, probs, message):
-        # each of these used to construct and fail, or draw nonsense, in draw
-        with pytest.raises(ConfigError, match=message):
-            PoolStreamSampler(pools, probs)
+        idx = hand.integers(0, 5, 200)
+        u = hand.random(200)
+        picked = np.flatnonzero(u < OUTLIER_SHARE)
+        out_idx = hand.integers(0, 4, picked.size)
+        expected = np.array([regular[i] for i in idx])
+        for t, i in zip(picked, out_idx):
+            expected[t] = outlier[i]
+        assert 0 < picked.size < 200
+        np.testing.assert_array_equal(got, expected.T)
+        # no index is drawn for a row that is never used
+        assert rng.random() == hand.random()
+
+    def test_outlier_share(self):
+        steps = 100_000
+        s = _PoolMixtureSampler(np.zeros((5, 1)), np.ones((3, 1)))
+        share = s.draw(np.random.default_rng(2), 0, steps).mean()
+        se = math.sqrt(OUTLIER_SHARE * (1.0 - OUTLIER_SHARE) / steps)
+        assert abs(share - OUTLIER_SHARE) < 4 * se
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +271,13 @@ class TestCaseStudy:
             case_study_run(small_pool, [robust], 50.0, pre_outlier="fault3")
         with pytest.raises(ConfigError):
             case_study_run(small_pool, [robust], math.nan)
+
+    def test_rows_independent_of_threads(self, small_pool, fam):
+        # the samplers are pickled to the worker processes at threads > 1
+        robust = LAlphaScheme(LocalParams(0.21, fam), FusionRule.soft(1.0, 1.5), "r")
+        kw = dict(target_arl=40.0, p=64, reps=40, seed=12)
+        assert case_study_run(small_pool, [robust], threads=1, **kw) == \
+            case_study_run(small_pool, [robust], threads=2, **kw)
 
     def test_end_to_end_determinism(self, small_pool, fam):
         robust = LAlphaScheme(LocalParams(0.21, fam), FusionRule.soft(1.0, 1.5), "r")
