@@ -47,7 +47,6 @@ from .experiments import (
     arl_vs_epsilon_curve,
     run_delay_table,
     simulate_delay,
-    tuning_curves,
 )
 from .models import (
     ChangeScenario,

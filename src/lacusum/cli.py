@@ -368,7 +368,8 @@ def _schemes_from_config(cfg, fam) -> list:
 def simulate(config_path, seed, output, threads, reps, mode):
     """Delay tables or contamination robustness curves for configured schemes.
 
-    CSV columns: scheme, parameter, mean, se, reps, censored.
+    CSV columns: scheme, parameter, mean, se, reps, censored, then
+    delay_bound_ratio (delay_table) or log_arl, se_log (arl_vs_epsilon).
     """
     cfg = _load_config(config_path)
     model = _build_model(cfg)
@@ -382,17 +383,21 @@ def simulate(config_path, seed, output, threads, reps, mode):
         theta_post = _setting(cfg, "scenario", "theta_post")
         if theta_post is None:
             theta_post = model.nominal.theta1
-        m_grid, theta_grid = get("m_grid"), get("theta_grid") or [theta_post]
+        m_grid = get("m_grid")
+        if "m_grid" not in cfg.get("simulate", {}):
+            m_grid = [m for m in m_grid if m <= K]  # the default grid is clipped to k
+        over = [str(m) for m in m_grid if m > K]
+        if over or not m_grid:
+            some = "not every" if len(over) < len(m_grid) else "no"
+            raise ConfigError(f"[simulate] m_grid: {some} m is at most [scenario] k = {K}"
+                              + (f"; above it: {', '.join(over)}" if over else ""))
         scenarios = tuple(ChangeScenario.immediate(K, m, th)
-                          for th in theta_grid for m in m_grid if m <= K)
-        if not scenarios:
-            raise ConfigError(f"[simulate] m_grid: no m is at most [scenario] k = {K}")
+                          for th in get("theta_grid") or [theta_post] for m in m_grid)
         spec = experiments.ExperimentSpec(
             schemes=tuple(schemes), model_post=model, scenarios=scenarios,
             reps=reps, seed=seed, cap=cap, threads=threads)
-        header = ["delay_bound_ratio", "error"]
-        rows = [[r.scheme, r.parameter, *(_estimate(r.delay) if r.delay else [""] * 4),
-                 r.delay_bound_ratio or "", r.error or ""]
+        header = ["delay_bound_ratio"]
+        rows = [[r.scheme, r.parameter, *_estimate(r.delay), r.delay_bound_ratio or ""]
                 for r in experiments.run_delay_table(spec)]
     else:
         header = ["log_arl", "se_log"]

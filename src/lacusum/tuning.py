@@ -266,24 +266,18 @@ def alpha_oracle(rows: list[GridRow]) -> GridRow:
 # Design formulas
 # ---------------------------------------------------------------------------
 
-def d_opt(lambda_: float, K: int, m: int, gamma: float,
-          mode: str | None = None) -> float:
+def d_opt(lambda_: float, K: int, m: int, gamma: float) -> float:
     """First-order optimal soft-threshold level, clamped at zero.
 
-    simplified: log(K/m) / lambda, valid when log(gamma) << K.
-    exact: the unique minimizer of the delay bound b_gamma(d)/m + d.
-    Default mode picks simplified when log(gamma) <= K, exact otherwise.
+    When log(gamma) <= K, the simplified log(K/m) / lambda; otherwise the
+    exact unique minimizer of the delay bound b_gamma(d)/m + d.
     """
     if not 1 <= m <= K:
         raise ConfigError(f"need 1 <= m <= K, got m={m}, K={K}")
     if gamma <= 1 or lambda_ <= 0:
         raise ConfigError("need gamma > 1 and lambda > 0")
-    if mode is None:
-        mode = "simplified" if math.log(gamma) <= K else "exact"
-    if mode == "simplified":
+    if math.log(gamma) <= K:
         return max(math.log(K / m) / lambda_, 0.0)
-    if mode != "exact":
-        raise ConfigError(f"unknown d_opt mode {mode!r}")
     lg = math.log(4.0 * gamma)
     root = math.sqrt(m + lg / 4.0) - 0.5 * math.sqrt(lg)
     return max(math.log(K / root**2) / lambda_, 0.0)

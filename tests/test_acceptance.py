@@ -107,7 +107,7 @@ def test_criterion_02_d_opt_formula():
     with criterion(2, "simplified d formula to 4 decimals"):
         for lam, want in [(1.0, 2.3026), (1.3681, 1.6831),
                           (2.3777, 0.9684), (0.4572, 5.0363)]:
-            assert lc.d_opt(lam, 100, 10, 5000.0, "simplified") == \
+            assert lc.d_opt(lam, 100, 10, 5000.0) == \
                 pytest.approx(want, abs=5e-5)
 
 

@@ -187,7 +187,10 @@ class TestAlphaOpt:
 
     def test_argmax_near_half(self, fam):
         # exact curve is flat to ~1e-4 over [0.44, 0.56]; its argmax is 0.48
-        assert alpha_opt(breakdown_grid(fam, 2.0, 0.01)).alpha == pytest.approx(0.48, abs=1e-12)
+        reports = breakdown_grid(fam, 2.0, 0.01)
+        assert alpha_opt(reports).alpha == pytest.approx(0.48, abs=1e-12)
+        eps = {r.alpha: r.eps_star for r in reports}
+        assert eps[0.0] == 0.0 and eps[0.5] > 0.23
 
     def test_location_scale_equivariance(self, fam):
         scaled = NominalFamily(0.0, 2.0, sigma=2.0)

@@ -406,7 +406,6 @@ class TestMonteCarloFlags:
 
     @pytest.mark.parametrize("mode", ["delay_table", "arl_vs_epsilon"])
     def test_simulate_cap_below_one(self, capsys, tmp_path, mode):
-        # wrong for every cell, so not written into each row of the table
         cfg = tmp_path / "sim.ini"
         cfg.write_text("[scenario]\nk = 3\n\n[simulate]\nm_grid = 1,2\neps_grid = 0.1\n"
                        "cap = 0\nreps = 20\n\n[scheme]\nalpha = 0.21\nb = 3.0\nd = 0.5\n")
@@ -546,18 +545,36 @@ class TestSimulateCommand:
         code, out, _ = run_cli(["simulate", "--config", str(cfg)], capsys=capsys)
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0].split(",")[:4] == ["scheme", "parameter", "mean", "se"]
+        assert lines[0].split(",") == ["scheme", "parameter", "mean", "se", "reps",
+                                       "censored", "delay_bound_ratio"]
         assert len(lines) == 5  # 2 schemes x 2 scenarios
         assert {line.split(",")[0] for line in lines[1:]} == {"robust", "cusum"}
 
     def test_no_m_at_most_k(self, capsys, tmp_path):
-        # every cell was dropped by the m <= k filter: a header-only CSV, exit 0
         cfg = write_ini(tmp_path / "sim.ini", {
             "scenario": {"k": "5"}, "simulate": {"m_grid": "10,20", "reps": "20"},
             "scheme": {"alpha": "0.21", "b": "3.0", "d": "0.5"}})
         code, out, err = run_cli(["simulate", "--config", cfg], capsys=capsys)
         assert code == 1 and out == "" and "Traceback" not in err
         assert "config error: [simulate] m_grid: no m is at most [scenario] k = 5" in err, err
+
+    def test_m_above_k_named(self, capsys, tmp_path):
+        cfg = write_ini(tmp_path / "sim.ini", {
+            "scenario": {"k": "5"}, "simulate": {"m_grid": "3,10", "reps": "20"},
+            "scheme": {"alpha": "0.21", "b": "3.0", "d": "0.5"}})
+        code, out, err = run_cli(["simulate", "--config", cfg], capsys=capsys)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert ("config error: [simulate] m_grid: not every m is at most [scenario] k = 5; "
+                "above it: 10") in err, err
+
+    def test_theta_below_theta1_fails_before_any_row(self, capsys, tmp_path):
+        cfg = write_ini(tmp_path / "sim.ini", {
+            "scenario": {"k": "5"},
+            "simulate": {"m_grid": "2", "theta_grid": "0.5,1", "reps": "20"},
+            "scheme": {"alpha": "0.21", "b": "3.0", "d": "0.5"}})
+        code, out, err = run_cli(["simulate", "--config", cfg], capsys=capsys)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert "config error: theta_post (0.5) must be >= theta1 (1.0)" in err, err
 
     def test_default_m_grid_clipped_to_k(self, capsys, tmp_path):
         cfg = write_ini(tmp_path / "sim.ini", {

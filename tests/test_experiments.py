@@ -1,10 +1,11 @@
-"""Delay tables, contamination curves, tuning curve series."""
+"""Delay tables and contamination curves."""
 
 import numpy as np
 import pytest
 
 from lacusum import (
     ChangeScenario,
+    ConfigError,
     ExperimentSpec,
     FusionRule,
     GrossErrorModel,
@@ -14,7 +15,6 @@ from lacusum import (
     arl_vs_epsilon_curve,
     run_delay_table,
     simulate_delay,
-    tuning_curves,
 )
 
 # thresholds from the reference simulation study (gamma = 5000, eps = 0.1)
@@ -62,16 +62,20 @@ class TestDelayTable:
         assert rows[0].scheme == "s21"
         assert rows[0].delay_bound_ratio is not None and rows[0].delay_bound_ratio > 0
 
-    def test_errors_recorded_per_cell(self, fam, model01):
-        scheme = soft(fam, **SOFT21)
-        bad = ChangeScenario.immediate(100, 10, 0.5)  # theta_post below theta1
+    @pytest.mark.parametrize("bad", [ChangeScenario(100, 10, 5, 1.0),
+                                     ChangeScenario.immediate(100, 10, 0.5)],
+                             ids=["nu-5", "theta_post-below-theta1"])
+    def test_bad_scenario_raises_before_any_cell(self, fam, model01, monkeypatch, bad):
+        import lacusum.experiments as experiments
+
+        calls = []
+        monkeypatch.setattr(experiments, "estimate_arl", lambda *a, **k: calls.append(a))
         good = ChangeScenario.immediate(100, 10, 1.0)
-        spec = ExperimentSpec(schemes=(scheme,), model_pre=model01,
-                              model_post=model01, scenarios=(bad, good),
-                              gamma=5000.0, reps=20, seed=1)
-        rows = run_delay_table(spec)
-        assert rows[0].error is not None and rows[0].delay is None
-        assert rows[1].error is None and rows[1].delay is not None
+        spec = ExperimentSpec(schemes=(soft(fam, **SOFT21),), model_post=model01,
+                              scenarios=(good, bad), reps=20, seed=1)
+        with pytest.raises(ConfigError, match="nu = 1|must be >= theta1"):
+            run_delay_table(spec)
+        assert calls == []
 
     def test_unexpected_errors_propagate(self, fam, model01, monkeypatch):
         import lacusum.experiments as experiments
@@ -79,7 +83,7 @@ class TestDelayTable:
         def broken(*args, **kwargs):
             raise ZeroDivisionError("bug in the delay simulation")
 
-        monkeypatch.setattr(experiments, "simulate_delay", broken)
+        monkeypatch.setattr(experiments, "estimate_arl", broken)
         spec = ExperimentSpec(schemes=(soft(fam, **SOFT21),), model_pre=model01,
                               model_post=model01,
                               scenarios=(ChangeScenario.immediate(100, 10, 1.0),),
@@ -126,22 +130,6 @@ class TestArlVsEpsilon:
         assert pts[0].epsilon == 0.05 and pts[1].epsilon == 0.15
         assert pts[0].log_arl - pts[1].log_arl > -2 * (pts[0].se_log + pts[1].se_log)
         assert pts[0].log_arl > pts[1].log_arl
-
-
-class TestTuningCurves:
-    def test_series_shapes_and_anchors(self, model01):
-        series = tuning_curves(model01)
-        info = [v for a, t, v in series["info_vs_theta"] if a == 0.21]
-        peak = int(np.argmax(info))
-        assert 0 < peak < len(info) - 1  # rises then falls
-        eff0 = dict((a, e) for eps, a, e in series["efficiency_vs_alpha"] if eps == 0.0)
-        assert eff0[0.0] == 0.0
-        assert eff0[0.2] < 0.0 and eff0[0.4] < eff0[0.2]
-        anchors = dict(series["efficiency_vs_eps"])
-        assert anchors[0.0] == pytest.approx(-0.057, abs=0.01)
-        assert anchors[0.05] > 0.2
-        bd = {a: e for a, _, _, e in series["breakdown_vs_alpha"]}
-        assert bd[0.0] == 0.0 and bd[0.5] > 0.23
 
 
 def _expected_cell_seed(seed, i, j):

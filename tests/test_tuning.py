@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,13 @@ class TestInfoNumber:
         assert 0 < peak < len(vals) - 1
         assert all(np.diff(vals[:peak + 1]) > 0)
         assert all(np.diff(vals[peak:]) < 0)
+
+    def test_rises_then_falls_over_theta(self, model0):
+        thetas = np.round(np.arange(0.6, 4.001, 0.05), 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # theta below theta1
+            vals = [info_number(float(t), 0.21, model0) for t in thetas]
+        assert 0 < int(np.argmax(vals)) < len(vals) - 1
 
     def test_point_mass_outlier_expectation(self, fam):
         from lacusum import GrossErrorModel, OutlierSpec
@@ -381,12 +389,15 @@ class TestEfficiency:
 
     def test_idealized_decreasing_in_alpha(self, model0):
         rows = tuning_grid(0.0, model0, alpha_max=0.5, step=0.1, qc=QUAD)
-        es = [r.efficiency for r in rows if r.alpha in (0.1, 0.3, 0.5)]
-        assert es[0] > es[1] > es[2]
+        assert rows[0].alpha == 0.0 and rows[0].efficiency == 0.0
+        es = [r.efficiency for r in rows[1:]]
+        assert es[1] < 0.0 and all(np.diff(es) < 0)
 
     def test_contaminated_gain_positive(self, model01):
         rows = tuning_grid(0.1, model01, alpha_max=0.21, step=0.21, qc=QUAD)
         assert rows[1].alpha == 0.21 and rows[1].efficiency > 0.5
+        rows = tuning_grid(0.05, model01, alpha_max=0.21, step=0.21, qc=QUAD)
+        assert rows[1].alpha == 0.21 and rows[1].efficiency > 0.2
 
 
 class TestAlphaOracle:
@@ -438,14 +449,16 @@ class TestDesignFormulas:
     @pytest.mark.parametrize("lam,want", [(1.0, 2.3026), (1.3681, 1.6831),
                                           (2.3777, 0.9684), (0.4572, 5.0363)])
     def test_simplified_d_reproduces_reference(self, lam, want):
-        assert d_opt(lam, 100, 10, 5000.0, "simplified") == pytest.approx(want, abs=5e-5)
+        assert d_opt(lam, 100, 10, 5000.0) == pytest.approx(want, abs=5e-5)
 
     def test_all_streams_affected_gives_zero(self):
-        assert d_opt(1.3, 100, 100, 5000.0, "simplified") == 0.0
+        assert d_opt(1.3, 100, 100, 5000.0) == 0.0
 
     def test_exact_mode_minimizes_delay_budget(self):
-        lam, K, m, gamma = 1.3681, 100, 10, 5000.0
-        d = d_opt(lam, K, m, gamma, "exact")
+        # log(5000) = 8.5 > K = 5: the exact form
+        lam, K, m, gamma = 1.3681, 5, 2, 5000.0
+        d = d_opt(lam, K, m, gamma)
+        assert d > 0.0
         here = delay_budget(lam, K, m, gamma, d)
         assert here <= delay_budget(lam, K, m, gamma, d + 0.01)
         assert here <= delay_budget(lam, K, m, gamma, max(d - 0.01, 0.0))
@@ -459,8 +472,11 @@ class TestDesignFormulas:
 
     def test_auto_mode_rule(self):
         # log(5000) = 8.5 <= K = 100: simplified; K = 5 < 8.5: exact
-        assert d_opt(1.0, 100, 10, 5000.0) == d_opt(1.0, 100, 10, 5000.0, "simplified")
-        assert d_opt(1.0, 5, 2, 5000.0) == d_opt(1.0, 5, 2, 5000.0, "exact")
+        assert d_opt(1.0, 100, 10, 5000.0) == math.log(100 / 10)
+        lg = math.log(4.0 * 5000.0)
+        root = math.sqrt(2 + lg / 4.0) - 0.5 * math.sqrt(lg)
+        assert d_opt(1.0, 5, 2, 5000.0) == pytest.approx(math.log(5 / root**2), rel=1e-12)
+        assert d_opt(1.0, 5, 2, 5000.0) != pytest.approx(math.log(5 / 2))
 
     def test_b_gamma_reference_value(self):
         assert b_gamma(1.0, 100, 2.3026, 5000.0) == pytest.approx(39.8, abs=0.1)
