@@ -82,12 +82,16 @@ def lalpha_increment(x, p: LocalParams, out=None):
     a2 = p.alpha / (2.0 * fam.sigma**2)
     # c * (exp(-a2 * (x - theta1)**2) - exp(-a2 * (x - theta0)**2)) / alpha, operation
     # for operation but in place and INCREMENT_CHUNK values at a time, so that the
-    # chain runs in cache and takes out plus one chunk
-    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    scratch = np.empty(min(flat_x.size, INCREMENT_CHUNK))
-    for lo in range(0, flat_x.size, INCREMENT_CHUNK):
-        xs = flat_x[lo:lo + INCREMENT_CHUNK]
-        e1, e0 = flat_out[lo:lo + INCREMENT_CHUNK], scratch[:xs.size]
+    # chain runs in cache and takes out plus one chunk; an input of at most one
+    # chunk (a live step's K values) is that chunk as it stands, unsliced
+    if x.size <= INCREMENT_CHUNK:
+        chunks = [(x, out, np.empty(x.shape))]
+    else:
+        flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+        scratch = np.empty(INCREMENT_CHUNK)
+        chunks = ((flat_x[lo:lo + INCREMENT_CHUNK], flat_out[lo:lo + INCREMENT_CHUNK],
+                   scratch[:flat_x.size - lo]) for lo in range(0, flat_x.size, INCREMENT_CHUNK))
+    for xs, e1, e0 in chunks:
         np.subtract(xs, fam.theta1, out=e1)
         np.subtract(xs, fam.theta0, out=e0)
         for e in (e1, e0):
@@ -168,7 +172,8 @@ def _mix_log_term(v: np.ndarray, p0: float, coef: float):
     """log(1 - p0 + coef * p0 * exp(v)), written into the float array v and returned.
 
     The whole array takes log1p(p0 * (coef * exp(v) - 1)) in place when no
-    value exceeds 30; otherwise values above 30 take the overflow-safe form
+    value exceeds 30 (the multiply by coef skipped when it is 1); otherwise
+    values above 30 take the overflow-safe form
     v + log(coef * p0 + (1 - p0) * exp(-v)) and the rest the first.
     """
     if v.max() > 30.0:
@@ -178,35 +183,34 @@ def _mix_log_term(v: np.ndarray, p0: float, coef: float):
         v[small] = np.log1p(p0 * (coef * np.exp(v[small]) - 1.0))
         return v
     np.exp(v, out=v)
-    np.multiply(v, coef, out=v)
+    if coef != 1.0:
+        np.multiply(v, coef, out=v)
     np.subtract(v, 1.0, out=v)
     np.multiply(v, p0, out=v)
     return np.log1p(v, out=v)
 
 
-def glr_scan_stat(history: np.ndarray, p0: float, coef: float, work=None):
+def glr_scan_stat(tail: np.ndarray, p0: float, coef: float, work=None):
     """Scan statistic max over candidate change times for one time step.
 
-    history holds the most recent observations, shape (K, L), oldest first;
-    candidate change times are the L window offsets.  work is a pair of flat
-    float buffers of at least history.size values each, which the scan
-    writes into; a fresh pair when None.
+    tail[..., k, j] is the sum of stream k's last j + 1 observations, newest
+    first, shape (..., K, L); candidate change times are the L offsets j, each
+    with the term of U+ = max(tail, 0) / sqrt(j + 1).  work is a flat float
+    buffer of at least tail.size values, which the scan writes into; a fresh
+    one when None.
     """
     if work is None:
-        work = np.empty((2, history.size))
-    u = work[0][:history.size].reshape(history.shape)
-    v = work[1][:history.size].reshape(history.shape)
-    np.cumsum(history[..., ::-1], axis=-1, out=u)
-    np.divide(u, np.sqrt(np.arange(1, history.shape[-1] + 1, dtype=float)), out=u)
-    np.maximum(u, 0.0, out=u)
-    np.multiply(u, 0.5, out=v)
-    np.multiply(v, u, out=v)  # 0.5 * u * u
-    return _mix_log_term(v, p0, coef).sum(axis=-2).max(axis=-1)
+        work = np.empty(tail.size)
+    v = work[:tail.size].reshape(tail.shape)
+    np.maximum(tail, 0.0, out=v)
+    np.multiply(v, v, out=v)
+    np.multiply(v, 0.5 / np.arange(1.0, tail.shape[-1] + 1.0), out=v)  # (U+)^2 / 2
+    return np.add.reduce(_mix_log_term(v, p0, coef), axis=-2).max(axis=-1)
 
 
 def glr_recursive_stat(w_star: np.ndarray, p0: float):
     """Recursive mixture statistic built on the alpha = 0 bank."""
-    return _mix_log_term(np.multiply(w_star, 0.5), p0, CHAN1_COEF).sum(axis=-1)
+    return np.add.reduce(_mix_log_term(np.multiply(w_star, 0.5), p0, CHAN1_COEF), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +306,11 @@ class CusumBank:
 
     def _fuse(self, w: np.ndarray):
         if self.fusion == "soft_threshold":
-            return np.maximum(w - self.d, 0.0).sum(axis=-1)
+            return np.add.reduce(np.maximum(w - self.d, 0.0), axis=-1)
         if self.fusion == "max":
             return w.max(axis=-1)
         if self.fusion == "sum":
-            return w.sum(axis=-1)
+            return np.add.reduce(w, axis=-1)
         return glr_recursive_stat(w, self.p0)
 
     def path(self, X: np.ndarray, rows=None) -> np.ndarray:
@@ -328,7 +332,13 @@ class CusumBank:
 
 
 class WindowGlr:
-    """Window-limited GLR scan (Xie-Siegmund or chan2) over the trailing observations."""
+    """Window-limited GLR scan (Xie-Siegmund or chan2) over the trailing observations.
+
+    The window is kept as running tail sums: buf[r, k, j] is the sum of the
+    last j + 1 observations of stream k in row r, newest first.  A row that
+    has seen fewer than `window` observations holds its full total in the
+    slots past them, as a zero-padded window would give.
+    """
 
     def __init__(self, params: GlrParams, rows: int, K: int):
         self.p0 = params.p0
@@ -341,25 +351,30 @@ class WindowGlr:
 
         The block feeds the given rows (every row when None), in that order.
         Each step scans the offsets of the longest-filled row for all rows: a
-        shorter row's extra offsets hold zeros, which only divide its tail
-        sums by a larger sqrt(j), so their terms never exceed its own maximum.
+        shorter row's extra offsets hold its full total, which a larger
+        sqrt(j) only divides further, so their terms never exceed its own maximum.
         """
         buf = self.buf if rows is None else self.buf[rows]
         filled = self.filled if rows is None else self.filled[rows]
+        window = buf.shape[2]
         out = np.empty((X.shape[0], X.shape[2]))
-        work = np.empty((2, buf.size))  # the scan's buffers, shared by the block's steps
+        work = np.empty(buf.size)  # the scan's buffer, shared by the block's steps
         # buf is C-contiguous, so one overlapping 1-d copy shifts every window a
-        # step left with no temporary; the last slot of each window, which takes
-        # the first value of the next, is then overwritten by the new step
+        # slot right with no temporary; slot 0 of each window, which takes the
+        # oldest sum of the one before, is then zeroed, and the new observation
+        # added to every slot
         flat = buf.reshape(-1)
+        longest = int(filled.max())
         for s in range(X.shape[2]):
-            flat[:-1] = flat[1:]
-            buf[:, :, -1] = X[:, :, s]
-            filled = np.minimum(filled + 1, buf.shape[2])
-            out[:, s] = glr_scan_stat(buf[:, :, -filled.max():], self.p0, self.coef, work)
+            flat[1:] = flat[:-1]
+            buf[:, :, 0] = 0.0
+            np.add(buf, X[:, :, s, None], out=buf)
+            scanned = min(longest + s + 1, window)
+            out[:, s] = glr_scan_stat(buf[:, :, :scanned], self.p0, self.coef, work)
         if rows is not None:  # with every row, buf is the state itself
             self.buf[rows] = buf
-        self.filled[slice(None) if rows is None else rows] = filled
+        self.filled[slice(None) if rows is None else rows] = np.minimum(filled + X.shape[2],
+                                                                        window)
         return out
 
 
@@ -524,7 +539,8 @@ class StreamMonitor:
         obs = np.asarray(obs, dtype=float)
         if obs.shape != (self.K,):
             raise ConfigError(f"expected {self.K} values, got shape {obs.shape}")
-        _require_finite(obs[:, None], self.n + 1)
+        if not np.isfinite(obs).all():
+            _require_finite(obs[:, None], self.n + 1)
         stat = float(self._kernel.path(obs[None, :, None])[0, 0])
         self.n += 1
         return StepDecision(global_stat=stat, alarmed=stat >= self.scheme.threshold)

@@ -4,9 +4,11 @@ solve_lambda finds the MGF root at one alpha on its own sample, without the
 tuning grid's warm start; solve_mgf_root_whole is the MGF root solver that
 evaluates phi over the whole sample at once, which the chunked solver must
 match to summation order; inverse_haar_transform inverts haar_transform;
-lalpha_increment_whole, glr_scan_stat_whole and glr_recursive_stat_whole are
+lalpha_increment_whole, glr_tail_scan_whole and glr_recursive_stat_whole are
 the whole-array forms of the detector kernels, which the chunked and
-buffered kernels must match bit for bit; info_number_closed_form and
+buffered kernels must match bit for bit; glr_scan_stat_whole is the scan
+on the raw window of observations that the running tail sums replaced,
+which they must match to rounding; info_number_closed_form and
 info_number_quadrature are the contamination-free closed form and the
 401-node Gauss-Hermite integral that the exact info number replaced;
 gaussian_pdf, mixture_pdf_two_term, mixture_nodes_two_term and
@@ -127,8 +129,17 @@ def lalpha_increment_whole(x, p: LocalParams):
     return e1[()]
 
 
+def glr_tail_scan_whole(tail, p0, coef):
+    """glr_scan_stat on the tail sums, with a fresh array for every operation."""
+    pos = np.maximum(tail, 0.0)
+    v = pos * pos * (0.5 / np.arange(1.0, tail.shape[-1] + 1.0))
+    return mix_log_term(v, p0, coef).sum(axis=-2).max(axis=-1)
+
+
 def glr_scan_stat_whole(history, p0, coef):
-    """glr_scan_stat with a fresh array for every operation of the scan."""
+    """The scan on the most recent observations, shape (K, L) oldest first, with
+    a fresh array for every operation: the window's tail sums by a cumsum
+    newest first, each divided by sqrt(j)."""
     rev = history[..., ::-1]
     tail_sums = np.cumsum(rev, axis=-1)
     j = np.arange(1, history.shape[-1] + 1, dtype=float)

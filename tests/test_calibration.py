@@ -1,6 +1,9 @@
 """Run-length estimation and threshold calibration."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from lacusum import (
     simulate_run_lengths,
     QuadratureConfig,
 )
+from lacusum import calibration
 from lacusum.calibration import RunEstimate
 
 from _oracles import solve_lambda
@@ -207,3 +211,26 @@ class TestArlBoundConsistency:
         bound = arl_lower_bound(lam, res.b, d, K)
         assert bound is not None
         assert res.arl.mean >= bound - 2 * res.arl.std_error
+
+
+def test_import_and_one_thread_leave_the_pool_modules_unloaded():
+    # concurrent.futures and multiprocessing cost import time and memory that a
+    # one-process run, such as the live monitor's, never uses
+    src = str(Path(calibration.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import lacusum, lacusum.cli\n"
+        "pool = ('concurrent.futures', 'multiprocessing')\n"
+        "print(sorted(m for m in pool if m in sys.modules))\n"
+        "from lacusum import (ChangeScenario, FusionRule, GrossErrorModel, LAlphaScheme,\n"
+        "                     LocalParams, NominalFamily, OutlierSpec, estimate_arl)\n"
+        "fam = NominalFamily(0.0, 1.0)\n"
+        "model = GrossErrorModel(0.1, fam, OutlierSpec.gaussian_outlier())\n"
+        "scheme = LAlphaScheme(LocalParams(0.21, fam), FusionRule.soft(2.0, 0.5))\n"
+        "estimate_arl(scheme, model, reps=20, cap=500, seed=1, K=3)\n"
+        "print(sorted(m for m in pool if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"], proc.stdout

@@ -558,6 +558,17 @@ class TestSimulateCommand:
         assert code == 1 and out == "" and "Traceback" not in err
         assert "config error: [simulate] m_grid: no m is at most [scenario] k = 5" in err, err
 
+    @pytest.mark.parametrize("mode", ["delay_table", "arl_vs_epsilon"])
+    def test_k_below_one_named_before_the_grid(self, capsys, tmp_path, mode):
+        # the default m grid clipped to k = 0 is empty; the fault is k itself
+        cfg = write_ini(tmp_path / "sim.ini", {
+            "scenario": {"k": "0"}, "simulate": {"mode": mode, "reps": "20"},
+            "scheme": {"alpha": "0.21", "b": "3.0", "d": "0.5"}})
+        code, out, err = run_cli(["simulate", "--config", cfg], capsys=capsys)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert "config error: K must be >= 1, got 0" in err, err
+        assert "m_grid" not in err
+
     def test_m_above_k_named(self, capsys, tmp_path):
         cfg = write_ini(tmp_path / "sim.ini", {
             "scenario": {"k": "5"}, "simulate": {"m_grid": "3,10", "reps": "20"},

@@ -36,7 +36,8 @@ from lacusum.detectors import (
 )
 from lacusum.models import SQRT_2PI
 
-from _oracles import glr_recursive_stat_whole, glr_scan_stat_whole, lalpha_increment_whole
+from _oracles import (glr_recursive_stat_whole, glr_scan_stat_whole, glr_tail_scan_whole,
+                      lalpha_increment_whole)
 
 
 def brute_force_cusum(llr_increments):
@@ -65,6 +66,12 @@ def increment_lower_bound(p):
 
 def prefix_sums(X):
     return np.concatenate([np.zeros((X.shape[0], 1)), np.cumsum(X, axis=1)], axis=1)
+
+
+def tail_sums(X):
+    """glr_scan_stat's input for the observations X, oldest first along the last
+    axis: the sums of the last 1, 2, ... of them."""
+    return np.cumsum(X[..., ::-1], axis=-1)
 
 
 def mix_term(u, p0, coef=1.0):
@@ -361,18 +368,18 @@ class TestGlr:
                     u = max(0.0, X[k, i:].sum() / math.sqrt(n - i))
                     tot += math.log(1 - p0 + coef * p0 * math.exp(u * u / 2))
                 best = max(best, tot)
-            assert glr_scan_stat(X, p0, coef) == pytest.approx(best, rel=1e-12)
+            assert glr_scan_stat(tail_sums(X), p0, coef) == pytest.approx(best, rel=1e-12)
 
     def test_window_limiting(self, rng):
         # with a window of w, only the last w observations can matter
         X = rng.normal(0, 1, (3, 30))
-        full = glr_scan_stat(X, 0.1, 1.0)
-        windowed = glr_scan_stat(X[:, -5:], 0.1, 1.0)
+        full = glr_scan_stat(tail_sums(X), 0.1, 1.0)
+        windowed = glr_scan_stat(tail_sums(X[:, -5:]), 0.1, 1.0)
         assert windowed <= full + 1e-12
 
     def test_overflow_safety(self):
         for x in (50.0, -50.0):
-            stat = glr_scan_stat(np.full((4, 6), x), 0.1, 1.0)
+            stat = glr_scan_stat(tail_sums(np.full((4, 6), x)), 0.1, 1.0)
             assert np.isfinite(stat)
         assert np.isfinite(glr_recursive_stat(np.full(3, 5000.0), 0.1))
 
@@ -406,6 +413,38 @@ class TestWindowScan:
             single = detectors.WindowGlr(params, 1, K)
             single.path(h[None])
             assert got[i].tobytes() == single.path(block[i:i + 1])[0].tobytes()
+
+    @pytest.mark.parametrize("variant", ["xie_siegmund", "chan2"])
+    def test_every_step_matches_the_history_scan(self, rng, variant):
+        # the running tail sums add a window oldest first, the history scan's
+        # cumsum newest first: the two agree to rounding, not bit for bit
+        window, K, p0 = 20, 30, 0.1
+        scheme = GlrScheme(GlrParams(p0, window, variant), 1e9)
+        coef = 1.0 if variant == "xie_siegmund" else CHAN2_COEF
+        T = 3 * window + 17
+        lead = [0, 1, 7, 20, 45]  # observations each batch row sees on its own first
+        obs = rng.normal(0.5, 2.0, (len(lead), K, max(lead) + T))
+        obs[:, :5, 30:34] += 8.0  # the mixture term's large-u branch
+
+        def want(i, n):  # statistic of row i after its n-th observation
+            return glr_scan_stat_whole(obs[i, :, max(0, n - window):n], p0, coef)
+
+        batch = scheme.kernel(len(lead), K)
+        for i, n in enumerate(lead):
+            if n:
+                got = batch.path(obs[i:i + 1, :, :n], rows=np.array([i]))[0]
+                assert got == pytest.approx([want(i, s) for s in range(1, n + 1)], rel=1e-12)
+        t = 0
+        while t < T:
+            B = min(int(detectors.block_size(t)), T - t)
+            X = np.stack([obs[i, :, n + t:n + t + B] for i, n in enumerate(lead)])
+            got = batch.path(X)
+            for i, n in enumerate(lead):
+                assert got[i] == pytest.approx([want(i, n + t + s) for s in range(1, B + 1)],
+                                               rel=1e-12)
+            t += B
+        live = [d.global_stat for d in feed(scheme, obs[0, :, :T].T)]
+        assert live == pytest.approx([want(0, n) for n in range(1, T + 1)], rel=1e-12)
 
 
 CHUNK = detectors.INCREMENT_CHUNK
@@ -460,13 +499,17 @@ class TestKernelsMatchWholeArrayForms:
         if case == "mixed_fills":  # rows that have seen fewer steps hold zeros first
             for i, n in enumerate(rng.integers(1, 200, rows)):
                 history[i, :, :-n] = 0.0
-        tail = np.cumsum(history[..., ::-1], axis=-1) / np.sqrt(np.arange(1, 201))
-        assert (0.5 * tail.max() ** 2 > 30.0) == (case == "large_u")
-        want = glr_scan_stat_whole(history, 0.1, coef)
-        assert np.array_equal(glr_scan_stat(history, 0.1, coef), want)
-        # the window kernel hands the scan buffers sized to its full window
-        work = np.empty((2, history.size + 1000))
-        assert np.array_equal(glr_scan_stat(history, 0.1, coef, work), want)
+        tail = tail_sums(history)
+        u = tail / np.sqrt(np.arange(1, 201))
+        assert (0.5 * u.max() ** 2 > 30.0) == (case == "large_u")
+        want = glr_tail_scan_whole(tail, 0.1, coef)
+        assert np.array_equal(glr_scan_stat(tail, 0.1, coef), want)
+        # the window kernel hands the scan the filled offsets of its buffer and
+        # a work buffer sized to the whole buffer
+        buf = np.zeros((rows, 100, 260))
+        buf[:, :, :200] = tail
+        work = np.empty(buf.size)
+        assert np.array_equal(glr_scan_stat(buf[:, :, :200], 0.1, coef, work), want)
 
     @pytest.mark.parametrize("rows", [1, 250])
     @pytest.mark.parametrize("case", ["small_u", "large_u"])
@@ -505,6 +548,14 @@ class TestAllocation:
         x = rng.normal(0.0, 3.0, 10**6)
         peak = self.peak(lalpha_increment, x, LocalParams(alpha, fam), np.empty_like(x))
         assert peak < 2 * CHUNK * x.itemsize
+
+    def test_window_path_takes_one_buffer_of_scratch(self, rng):
+        # the scan forms its terms in one work buffer the size of the window state
+        kernel = detectors.WindowGlr(GlrParams(0.1, 200), 20, 100)
+        X = rng.normal(0.0, 1.0, (20, 100, 264))
+        kernel.path(X[:, :, :200])
+        peak = self.peak(kernel.path, X[:, :, 200:])
+        assert peak < 1.2 * kernel.buf.nbytes
 
     def test_window_monitor_step(self, rng):
         K, window = 100, 200
