@@ -376,8 +376,7 @@ def simulate(config_path, seed, output, threads, reps, mode):
     get = partial(_setting, cfg, "simulate")
     mode, reps, cap = get("mode", mode), get("reps", reps), get("cap")
     K = _setting(cfg, "scenario", "k")
-    if K < 1:  # before the m grid, which would otherwise take the blame
-        raise ConfigError(f"K must be >= 1, got {K}")
+    ChangeScenario.no_change(K)  # rejects k < 1 before the m grid can take the blame
     schemes = _schemes_from_config(cfg, model.nominal)
     if not schemes:
         raise ConfigError("simulate needs at least one [scheme] section")

@@ -82,16 +82,12 @@ def lalpha_increment(x, p: LocalParams, out=None):
     a2 = p.alpha / (2.0 * fam.sigma**2)
     # c * (exp(-a2 * (x - theta1)**2) - exp(-a2 * (x - theta0)**2)) / alpha, operation
     # for operation but in place and INCREMENT_CHUNK values at a time, so that the
-    # chain runs in cache and takes out plus one chunk; an input of at most one
-    # chunk (a live step's K values) is that chunk as it stands, unsliced
-    if x.size <= INCREMENT_CHUNK:
-        chunks = [(x, out, np.empty(x.shape))]
-    else:
-        flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-        scratch = np.empty(INCREMENT_CHUNK)
-        chunks = ((flat_x[lo:lo + INCREMENT_CHUNK], flat_out[lo:lo + INCREMENT_CHUNK],
-                   scratch[:flat_x.size - lo]) for lo in range(0, flat_x.size, INCREMENT_CHUNK))
-    for xs, e1, e0 in chunks:
+    # chain runs in cache and takes out plus one chunk
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    scratch = np.empty(min(flat_x.size, INCREMENT_CHUNK))
+    for lo in range(0, flat_x.size, INCREMENT_CHUNK):
+        xs = flat_x[lo:lo + INCREMENT_CHUNK]
+        e1, e0 = flat_out[lo:lo + INCREMENT_CHUNK], scratch[:xs.size]
         np.subtract(xs, fam.theta1, out=e1)
         np.subtract(xs, fam.theta0, out=e0)
         for e in (e1, e0):
@@ -205,12 +201,12 @@ def glr_scan_stat(tail: np.ndarray, p0: float, coef: float, work=None):
     np.maximum(tail, 0.0, out=v)
     np.multiply(v, v, out=v)
     np.multiply(v, 0.5 / np.arange(1.0, tail.shape[-1] + 1.0), out=v)  # (U+)^2 / 2
-    return np.add.reduce(_mix_log_term(v, p0, coef), axis=-2).max(axis=-1)
+    return _mix_log_term(v, p0, coef).sum(axis=-2).max(axis=-1)
 
 
 def glr_recursive_stat(w_star: np.ndarray, p0: float):
     """Recursive mixture statistic built on the alpha = 0 bank."""
-    return np.add.reduce(_mix_log_term(np.multiply(w_star, 0.5), p0, CHAN1_COEF), axis=-1)
+    return _mix_log_term(np.multiply(w_star, 0.5), p0, CHAN1_COEF).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +302,11 @@ class CusumBank:
 
     def _fuse(self, w: np.ndarray):
         if self.fusion == "soft_threshold":
-            return np.add.reduce(np.maximum(w - self.d, 0.0), axis=-1)
+            return np.maximum(w - self.d, 0.0).sum(axis=-1)
         if self.fusion == "max":
             return w.max(axis=-1)
         if self.fusion == "sum":
-            return np.add.reduce(w, axis=-1)
+            return w.sum(axis=-1)
         return glr_recursive_stat(w, self.p0)
 
     def path(self, X: np.ndarray, rows=None) -> np.ndarray:
@@ -334,10 +330,11 @@ class CusumBank:
 class WindowGlr:
     """Window-limited GLR scan (Xie-Siegmund or chan2) over the trailing observations.
 
-    The window is kept as running tail sums: buf[r, k, j] is the sum of the
-    last j + 1 observations of stream k in row r, newest first.  A row that
-    has seen fewer than `window` observations holds its full total in the
-    slots past them, as a zero-padded window would give.
+    The window is kept as running tail sums: for j below the number of
+    observations row r has seen, buf[r, k, j] is the sum of the last j + 1
+    of stream k, newest first.  The offsets past that are not kept up to
+    date; a block gives those its scan reads their row's total, as a
+    zero-padded window would hold.
     """
 
     def __init__(self, params: GlrParams, rows: int, K: int):
@@ -359,18 +356,24 @@ class WindowGlr:
         window = buf.shape[2]
         out = np.empty((X.shape[0], X.shape[2]))
         work = np.empty(buf.size)  # the scan's buffer, shared by the block's steps
+        longest = int(filled.max())
+        # a row that has seen fewer observations than the longest (never one of
+        # a live monitor, nor of rows advanced together) takes its total up to it
+        for r in np.flatnonzero((filled > 0) & (filled < longest)).tolist():
+            buf[r, :, filled[r]:longest] = buf[r, :, filled[r] - 1, None]
         # buf is C-contiguous, so one overlapping 1-d copy shifts every window a
         # slot right with no temporary; slot 0 of each window, which takes the
-        # oldest sum of the one before, is then zeroed, and the new observation
-        # added to every slot
+        # oldest sum of the one before, is then zeroed.  The new observation is
+        # added only to the offsets the step scans, so an early step costs its
+        # filled offsets, not the window: the last of them holds each row's
+        # total, and the shift carries it into the offset the next step adds
         flat = buf.reshape(-1)
-        longest = int(filled.max())
         for s in range(X.shape[2]):
             flat[1:] = flat[:-1]
             buf[:, :, 0] = 0.0
-            np.add(buf, X[:, :, s, None], out=buf)
-            scanned = min(longest + s + 1, window)
-            out[:, s] = glr_scan_stat(buf[:, :, :scanned], self.p0, self.coef, work)
+            scanned = buf[:, :, :min(longest + s + 1, window)]
+            np.add(scanned, X[:, :, s, None], out=scanned)
+            out[:, s] = glr_scan_stat(scanned, self.p0, self.coef, work)
         if rows is not None:  # with every row, buf is the state itself
             self.buf[rows] = buf
         self.filled[slice(None) if rows is None else rows] = np.minimum(filled + X.shape[2],
@@ -539,8 +542,7 @@ class StreamMonitor:
         obs = np.asarray(obs, dtype=float)
         if obs.shape != (self.K,):
             raise ConfigError(f"expected {self.K} values, got shape {obs.shape}")
-        if not np.isfinite(obs).all():
-            _require_finite(obs[:, None], self.n + 1)
+        _require_finite(obs[:, None], self.n + 1)
         stat = float(self._kernel.path(obs[None, :, None])[0, 0])
         self.n += 1
         return StepDecision(global_stat=stat, alarmed=stat >= self.scheme.threshold)

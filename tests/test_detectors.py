@@ -414,6 +414,24 @@ class TestWindowScan:
             single.path(h[None])
             assert got[i].tobytes() == single.path(block[i:i + 1])[0].tobytes()
 
+    def test_shorter_row_scanned_past_its_fill_reads_its_current_total(self):
+        # row 1 runs beside a longer row (its total, 40, reaches every offset the
+        # scan reads), then alone (its total falls to 0; only its own offsets
+        # are scanned), then beside the longer row again: every window ending
+        # now sums to at most 0, so its statistic is 0, and an offset still
+        # holding the old total of 40 would raise it
+        K, p0 = 3, 0.1
+        kernel = GlrScheme(GlrParams(p0, 60), 1e9).kernel(2, K)
+        kernel.path(np.zeros((1, K, 40)), rows=np.array([0]))
+        kernel.path(np.stack([np.zeros((K, 4)), np.full((K, 4), 10.0)]))
+        kernel.path(np.full((1, K, 4), -10.0), rows=np.array([1]))
+        got = kernel.path(np.zeros((2, K, 2)))[1]
+        history = np.concatenate([np.full((K, 4), 10.0), np.full((K, 4), -10.0),
+                                  np.zeros((K, 2))], axis=1)
+        want = [glr_scan_stat_whole(history[:, :n], p0, 1.0) for n in (9, 10)]
+        assert want == [0.0, 0.0]
+        assert got.tolist() == want
+
     @pytest.mark.parametrize("variant", ["xie_siegmund", "chan2"])
     def test_every_step_matches_the_history_scan(self, rng, variant):
         # the running tail sums add a window oldest first, the history scan's
